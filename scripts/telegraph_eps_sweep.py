@@ -11,12 +11,9 @@ Usage:
 """
 
 import argparse
-import csv
-import math
 import sys
 
-import numpy as np
-
+from barenblatt._table import table_chunks, write_table
 from barenblatt.family import cdf_1d, new_family
 from barenblatt.sampling import RngStream, ks_test, sample_epd_telegraph, sample_position_1d
 from barenblatt.verify import DEFAULT_SEED, _two_sample_ks
@@ -49,20 +46,14 @@ def main(argv=None) -> int:
         )
         d_law = ks_test(tele, lambda x: cdf_1d(fam, x, args.t)).statistic
         d_two = _two_sample_ks(tele, direct)
-        rows.append((eps, d_law, d_two))
+        rows.append((eps, d_law, d_two, args.n, args.xi, args.t, args.seed))
         print(f"eps={eps:8.1e}  ks_to_cdf={d_law:.6f}  ks_two_sample={d_two:.6f}")
 
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        w = csv.writer(out)
-        w.writerow(["eps", "ks_to_cdf", "ks_two_sample", "n", "xi", "t", "seed"])
-        for eps, d_law, d_two in rows:
-            w.writerow(
-                ["%.17g" % eps, "%.17g" % d_law, "%.17g" % d_two, args.n, "%.17g" % args.xi, "%.17g" % args.t, args.seed]
-            )
-    finally:
-        if args.out:
-            out.close()
+    header = ["eps", "ks_to_cdf", "ks_two_sample", "n", "xi", "t", "seed"]
+    if args.out:
+        write_table(args.out, header, rows)
+    else:
+        sys.stdout.writelines(table_chunks(header, rows))
     return 0
 
 

@@ -3,7 +3,8 @@
 The package is organised bottom-up:
 
     specfun      log-gamma, incomplete beta (and inverse), Bessel J,
-                 sphere measure, adaptive Gauss-Kronrod quadrature
+                 sphere measure, adaptive Gauss-Legendre quadrature
+                 (15-node value, separate 7-node error estimate)
     family       the density family itself: pdf/cdf, moments, support
     sampling     exact samplers (inverse-cdf radius, uniform directions,
                  signed telegraph-type integral) on a deterministic RNG

@@ -1,13 +1,15 @@
 """Command-line front end: evaluation, sampling, presets, transforms,
 and verification as reproducible batch commands.
 
-Output is CSV (RFC-4180-style quoting) or a JSON array of objects.  CSV
-reals are printed with 17 significant digits so files diff cleanly
-across runs; JSON uses the native shortest round-trip repr.  Exit codes:
-0 success, 1 runtime failure (failed verification checks, broken output
-pipe), 2 usage error.  Exit 1 on a broken pipe holds under unbuffered
-stdio (`python -u`, PYTHONUNBUFFERED) as well: stdout is written in full
-or the command fails, never cut short with exit 0.
+Output is CSV (RFC-4180-style quoting) or a JSON array of objects,
+streamed in row chunks by `_table`.  CSV reals are printed with 17
+significant digits so files diff cleanly across runs; JSON uses the
+native shortest round-trip repr.  Exit codes: 0 success, 1 runtime
+failure (failed verification checks, broken output pipe), 2 usage error,
+including a value the library refuses with ValueError.  Exit 1 on a
+broken pipe holds under unbuffered stdio (`python -u`, PYTHONUNBUFFERED)
+as well: stdout is written in full or the command fails, never cut short
+with exit 0.
 
 The only environment variable consulted is BARENBLATT_OUTDIR: when set,
 relative --output paths (and verify report directories) resolve inside
@@ -17,8 +19,6 @@ it.  Everything else comes from flags.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
@@ -30,17 +30,12 @@ from . import presets as preset_mod
 from . import sampling as samp_mod
 from . import transforms as trans_mod
 from . import verify as verify_mod
+from ._table import table_chunks, write_table
 from .family import FamilyParams, new_family
 
 __all__ = ["main"]
 
 _OUTDIR_ENV = "BARENBLATT_OUTDIR"
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
 
 
 def _resolve_path(path: str | None) -> str | None:
@@ -73,27 +68,16 @@ def _write_stdout(text: str) -> None:
 
 
 def _emit(rows, header, args) -> None:
-    """Write rows (list of dicts keyed by header) as CSV or JSON."""
+    """Write rows (sequences in header order) as CSV or JSON, chunk by chunk."""
     path = _resolve_path(args.output)
-    if args.format == "json":
-        text = json.dumps([{k: r[k] for k in header} for r in rows], indent=2) + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(header)
-        for r in rows:
-            w.writerow([_fmt(r[k]) for k in header])
-        text = buf.getvalue()
     if path is None:
-        _write_stdout(text)
-    else:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        for text in table_chunks(header, rows, args.format):
+            _write_stdout(text)
+        return
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    write_table(path, header, rows, args.format)
 
 
 def _parse_grid(spec: str, parser: argparse.ArgumentParser, flag: str = "--grid"):
@@ -105,9 +89,16 @@ def _parse_grid(spec: str, parser: argparse.ArgumentParser, flag: str = "--grid"
         count = int(parts[2])
     except ValueError:
         parser.error(f"{flag} must be min:max:count with numeric fields, got {spec!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        parser.error(f"{flag} needs finite min and max, got {spec!r}")
     if count < 1:
         parser.error(f"{flag} needs count >= 1, got {count}")
     return np.linspace(lo, hi, count)
+
+
+def _check_time(args, parser) -> None:
+    if not (args.t > 0.0 and math.isfinite(args.t)):
+        parser.error(f"--t must be finite and > 0, got {args.t}")
 
 
 _PRESET_NEEDS = {
@@ -170,90 +161,55 @@ def _add_io_flags(sub):
 
 def _cmd_eval(args, parser) -> int:
     fam = _resolve_family(args, parser)
-    if args.t <= 0.0:
-        parser.error(f"--t must be > 0, got {args.t}")
+    _check_time(args, parser)
     xs = _parse_grid(args.grid, parser)
-    header = ["x", "t", "pdf"] + (["cdf"] if fam.d == 1 else [])
+    header = ["x", "t", "pdf"]
     if fam.d == 1:
-        pdf_vals = np.atleast_1d(fam_mod.pdf(fam, xs, args.t))
-        cdf_vals = np.atleast_1d(fam_mod.cdf_1d(fam, xs, args.t))
+        header.append("cdf")
+        cols = [fam_mod.pdf(fam, xs, args.t), fam_mod.cdf_1d(fam, xs, args.t)]
     else:
         pts = np.zeros((xs.size, fam.d))
         pts[:, 0] = xs
-        pdf_vals = np.atleast_1d(fam_mod.pdf(fam, pts, args.t))
-        cdf_vals = None
-    rows = []
-    for i, x in enumerate(xs):
-        row = {"x": float(x), "t": args.t, "pdf": float(pdf_vals[i])}
-        if cdf_vals is not None:
-            row["cdf"] = float(cdf_vals[i])
-        rows.append(row)
-    _emit(rows, header, args)
+        cols = [fam_mod.pdf(fam, pts, args.t)]
+    cols = [np.atleast_1d(col).tolist() for col in cols]
+    _emit(list(zip(xs.tolist(), [args.t] * xs.size, *cols)), header, args)
     return 0
 
 
 def _cmd_sample(args, parser) -> int:
     fam = _resolve_family(args, parser)
-    if args.t <= 0.0:
-        parser.error(f"--t must be > 0, got {args.t}")
+    _check_time(args, parser)
     if args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
     rng = samp_mod.RngStream(args.seed, args.stream)
     pts = samp_mod.sample_position(rng, fam, args.t, args.n)
-    pts = np.atleast_2d(np.asarray(pts, dtype=float).reshape(args.n, -1))
-    header = [f"x{i + 1}" for i in range(fam.d)]
-    rows = [{header[j]: float(p[j]) for j in range(fam.d)} for p in pts]
-    _emit(rows, header, args)
+    rows = np.asarray(pts, dtype=float).reshape(args.n, -1).tolist()
+    _emit(rows, [f"x{i + 1}" for i in range(fam.d)], args)
     return 0
 
 
 def _cmd_presets(args, parser) -> int:
     # fixed exemplar table; the verify suites cover the parameter grids
-    rows = []
-    wig = preset_mod.wigner_preset()
-    rows.append(("wigner", "", wig))
-    raw, fam = preset_mod.ple_preset(3.0, 1)
-    rows.append(("ple", "p=3, d=1", fam))
-    raw, fam = preset_mod.npme_preset(2.0, 2.0, 1)
-    rows.append(("npme", "m=2, nu=2, d=1", fam))
-    raw, fam = preset_mod.epd_preset(2.0, 1.0, 3)
-    rows.append(("epd", "nu=2, c=1, d=3", fam))
-    zkb = preset_mod.zkb_source_preset(2.0, 1)
-    rows.append(("zkb", "m=2, d=1", zkb))
-    header = ["preset", "raw_params", "alpha", "beta", "gamma", "c", "C"]
-    table = [
-        {
-            "preset": name,
-            "raw_params": rp,
-            "alpha": f.alpha,
-            "beta": f.beta_exp,
-            "gamma": f.gamma_exp,
-            "c": f.c,
-            "C": f.norm_c,
-        }
-        for name, rp, f in rows
+    members = [
+        ("wigner", "", preset_mod.wigner_preset()),
+        ("ple", "p=3, d=1", preset_mod.ple_preset(3.0, 1)[1]),
+        ("npme", "m=2, nu=2, d=1", preset_mod.npme_preset(2.0, 2.0, 1)[1]),
+        ("epd", "nu=2, c=1, d=3", preset_mod.epd_preset(2.0, 1.0, 3)[1]),
+        ("zkb", "m=2, d=1", preset_mod.zkb_source_preset(2.0, 1)),
+    ]
+    rows = [
+        (name, rp, f.alpha, f.beta_exp, f.gamma_exp, f.c, f.norm_c)
+        for name, rp, f in members
     ]
     fp = preset_mod.fractional_preset(0.2)
-    half = math.sqrt(fp.C1 / fp.C2)
-    table.append(
-        {
-            "preset": "fractional",
-            "raw_params": "nu=0.2",
-            "alpha": fp.nu,
-            "beta": 2.0,
-            "gamma": 1.0,
-            "c": half,
-            "C": fp.C1,
-        }
-    )
-    _emit(table, header, args)
+    rows.append(("fractional", "nu=0.2", fp.nu, 2.0, 1.0, math.sqrt(fp.C1 / fp.C2), fp.C1))
+    _emit(rows, ["preset", "raw_params", "alpha", "beta", "gamma", "c", "C"], args)
     return 0
 
 
 def _cmd_ft(args, parser) -> int:
     fam = _resolve_family(args, parser)
-    if args.t <= 0.0:
-        parser.error(f"--t must be > 0, got {args.t}")
+    _check_time(args, parser)
     xis = _parse_grid(args.grid, parser)
     if args.kind == "projection" and fam.d == 1:
         parser.error("--kind projection needs d >= 2 (d = 1 is already scalar)")
@@ -263,10 +219,7 @@ def _cmd_ft(args, parser) -> int:
         fn = trans_mod.char_fn_projection
     else:
         fn = trans_mod.char_fn_radial
-    rows = [
-        {"xi": float(xi), "t": args.t, "cf": float(fn(fam, float(xi), args.t))}
-        for xi in xis
-    ]
+    rows = [(xi, args.t, float(fn(fam, xi, args.t))) for xi in xis.tolist()]
     _emit(rows, ["xi", "t", "cf"], args)
     return 0
 
@@ -277,39 +230,22 @@ def _cmd_msd(args, parser) -> int:
     if np.any(ts <= 0.0):
         parser.error("--grid for msd must have min > 0 (times)")
     rows = []
-    for t in ts:
-        msd = fam_mod.radial_moment(fam, 2, float(t))
-        rows.append(
-            {
-                "t": float(t),
-                "msd": msd,
-                "msd_over_t2alpha": msd / float(t) ** (2.0 * fam.alpha),
-            }
-        )
+    for t in ts.tolist():
+        msd = fam_mod.radial_moment(fam, 2, t)
+        rows.append((t, msd, msd / t ** (2.0 * fam.alpha)))
     _emit(rows, ["t", "msd", "msd_over_t2alpha"], args)
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
-    out_dir = _resolve_path(args.out)
     report = verify_mod.run_suite(
         args.suite,
         seed=args.seed,
-        out_dir=out_dir,
+        out_dir=_resolve_path(args.out),
         threads=args.threads,
         h_levels=args.h_levels,
     )
-    header = ["name", "passed", "value", "tolerance", "detail"]
-    rows = [
-        {
-            "name": c.name,
-            "passed": c.passed,
-            "value": c.value,
-            "tolerance": c.tolerance,
-            "detail": c.detail,
-        }
-        for c in report.checks
-    ]
+    header, rows = report.table()
     _emit(rows, header, args)
     return 0 if report.passed else 1
 
@@ -390,6 +326,10 @@ def main(argv=None) -> int:
     }[args.subcommand]
     try:
         return handler(args, parser)
+    except ValueError as exc:
+        # a parameter the library refuses is a usage error, not a crash
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # downstream closed the pipe (e.g. `... | head`); point stdout at
         # devnull so the interpreter's exit flush does not raise again

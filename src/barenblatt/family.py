@@ -74,13 +74,23 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
         raise ValueError(f"d must be an integer >= 1, got {d}")
     d = int(d)
     ln_sphere = math.log(2.0) + 0.5 * d * math.log(math.pi) - ln_gamma(0.5 * d)
-    ln_c = (
-        math.log(beta_exp)
-        - d * math.log(c)
-        - ln_sphere
-        - _ln_beta(d / beta_exp, gamma_exp + 1.0)
-    )
-    return FamilyParams(alpha, beta_exp, gamma_exp, c, d, math.exp(ln_c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ln_c = (
+            math.log(beta_exp)
+            - d * math.log(c)
+            - ln_sphere
+            - _ln_beta(d / beta_exp, gamma_exp + 1.0)
+        )
+    try:
+        norm_c = math.exp(ln_c)
+    except OverflowError:
+        norm_c = math.inf
+    if not 0.0 < norm_c < math.inf:  # nan fails this too
+        raise ValueError(
+            f"normalization C = exp({ln_c}) is not a finite positive float for "
+            f"alpha={alpha}, beta_exp={beta_exp}, gamma_exp={gamma_exp}, c={c}, d={d}"
+        )
+    return FamilyParams(alpha, beta_exp, gamma_exp, c, d, norm_c)
 
 
 def _check_time(t) -> float:

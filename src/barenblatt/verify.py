@@ -17,11 +17,10 @@ split internally, never the bytes drawn.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from . import fractional as frac_mod
 from . import presets as preset_mod
 from . import sampling as samp_mod
 from . import transforms as trans_mod
+from ._table import write_table
 from .family import FamilyParams, new_family, pdf, radial_pdf, support_radius
 from .sampling import RngStream
 from .specfun import DEFAULT_QUADRATURE, bessel_j, integrate, reg_inc_beta
@@ -76,10 +76,16 @@ class SuiteReport:
     suite: str
     seed: int
     checks: list = field(default_factory=list)
+    # extra CSV tables written beside the report: file name -> (header, rows)
+    artifacts: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def table(self):
+        """The checks as (header, rows), one row per CheckResult."""
+        return [f.name for f in fields(CheckResult)], [astuple(c) for c in self.checks]
 
     def add(self, name, passed, value, tolerance, detail=""):
         self.checks.append(
@@ -292,16 +298,6 @@ def epd_type_wave_residual(
 # consolidated suites
 
 
-SUITE_NAMES = (
-    "normalization",
-    "representations",
-    "transforms",
-    "presets",
-    "fractional",
-    "pde",
-    "sampling",
-)
-
 _GRID_MEMBERS = [
     (0.5, 2.0, 0.5, 2.0, 1),
     (0.7, 2.5, 0.8, 1.5, 1),
@@ -324,7 +320,7 @@ def _quad_mass(fam, t=1.0):
     )
 
 
-def _suite_normalization(report: SuiteReport, threads: int):
+def _suite_normalization(report: SuiteReport):
     worst = 0.0
     count = 0
     for alpha in (0.3, 0.5, 1.0, 1.5):
@@ -368,7 +364,7 @@ def _suite_normalization(report: SuiteReport, threads: int):
     )
 
 
-def _suite_representations(report: SuiteReport, threads: int):
+def _suite_representations(report: SuiteReport):
     worst = 0.0
     for member in _GRID_MEMBERS:
         fam = new_family(*member)
@@ -400,7 +396,10 @@ def _suite_representations(report: SuiteReport, threads: int):
         f"corrected variant closes everywhere; stated variant deviates up to "
         f"{worst_stated:.3e} (relative residual equals r-1); matching variant: corrected",
     )
-    report._prefactor_rows = rows
+    report.artifacts["radial_prefactor.csv"] = (
+        "d alpha beta gamma c r t residual_paper_form residual_corrected_form".split(),
+        [astuple(rep) for rep in rows],
+    )
 
     worst_power = 0.0
     worst_plain = 0.0
@@ -442,7 +441,7 @@ def _suite_representations(report: SuiteReport, threads: int):
     report.add("quantile-roundtrip", worst <= 1e-10, worst, 1e-10)
 
 
-def _suite_transforms(report: SuiteReport, threads: int):
+def _suite_transforms(report: SuiteReport):
     wig = preset_mod.wigner_preset()
     worst = 0.0
     for s in np.linspace(0.1, 20.0, 23):
@@ -516,7 +515,7 @@ def _suite_transforms(report: SuiteReport, threads: int):
     )
 
 
-def _suite_presets(report: SuiteReport, threads: int):
+def _suite_presets(report: SuiteReport):
     worst = 0.0
     for p in (2.2, 2.5, 3.0, 4.0, 7.0):
         for d in (1, 2, 3):
@@ -605,7 +604,7 @@ def _suite_presets(report: SuiteReport, threads: int):
     report.add("zkb-amplitude-condition", worst <= 1e-13, worst, 1e-13)
 
 
-def _suite_fractional(report: SuiteReport, threads: int):
+def _suite_fractional(report: SuiteReport):
     worst = 0.0
     for beta_exp in (-0.5, 0.0, 1.0, 2.7):
         for nu in (0.25, 0.5, 0.9):
@@ -650,7 +649,7 @@ def _suite_fractional(report: SuiteReport, threads: int):
                 rows.append((nu, x, t, r))
                 worst = max(worst, abs(r))
     report.add("fbe-interior-residual", worst <= 1e-12, worst, 1e-12)
-    report._fbe_rows = rows
+    report.artifacts["fbe_residual_grid.csv"] = (["nu", "x", "t", "residual"], rows)
 
     try:
         preset_mod.fractional_preset(0.25)
@@ -660,7 +659,7 @@ def _suite_fractional(report: SuiteReport, threads: int):
     report.add("fbe-excluded-order", rejected, 0.25, 0.25)
 
 
-def _suite_pde(report: SuiteReport, threads: int, h_levels: int = 3):
+def _suite_pde(report: SuiteReport, h_levels: int):
     for m in (2.0, 3.0):
         for d in (1, 2, 3):
             rep = pme_residual(m, d, t=1.0, h=0.02, levels=h_levels)
@@ -740,7 +739,8 @@ def _two_sample_ks(a, b):
     return float(np.max(np.abs(fa - fb)))
 
 
-def _suite_sampling(report: SuiteReport, seed: int, threads: int):
+def _suite_sampling(report: SuiteReport, threads: int):
+    seed = report.seed
     n_ks = 100_000
     crit = samp_mod.ks_test(np.arange(10) / 10.0, lambda x: x, alpha=0.01).critical_value
     # (stream ids are fixed per check so every run draws identical bytes)
@@ -856,81 +856,36 @@ def _suite_sampling(report: SuiteReport, seed: int, threads: int):
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
-
-
 def _write_reports(report: SuiteReport, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)
-    base = os.path.join(out_dir, report.suite)
-    with open(base + ".csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["name", "passed", "value", "tolerance", "detail"])
-        for c in report.checks:
-            w.writerow([c.name, c.passed, _fmt(c.value), _fmt(c.tolerance), c.detail])
-    with open(base + ".json", "w") as fh:
+    tables = {f"{report.suite}.csv": report.table(), **report.artifacts}
+    for name, (header, rows) in tables.items():
+        write_table(os.path.join(out_dir, name), header, rows)
+    with open(os.path.join(out_dir, report.suite + ".json"), "w") as fh:
         json.dump(
             {
                 "suite": report.suite,
                 "seed": report.seed,
                 "passed": report.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "passed": c.passed,
-                        "value": c.value,
-                        "tolerance": c.tolerance,
-                        "detail": c.detail,
-                    }
-                    for c in report.checks
-                ],
+                "checks": [asdict(c) for c in report.checks],
             },
             fh,
             indent=2,
         )
         fh.write("\n")
-    rows = getattr(report, "_prefactor_rows", None)
-    if rows:
-        with open(os.path.join(out_dir, "radial_prefactor.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(
-                [
-                    "d",
-                    "alpha",
-                    "beta",
-                    "gamma",
-                    "c",
-                    "r",
-                    "t",
-                    "residual_paper_form",
-                    "residual_corrected_form",
-                ]
-            )
-            for rep in rows:
-                w.writerow(
-                    [
-                        rep.d,
-                        _fmt(rep.alpha),
-                        _fmt(rep.beta_exp),
-                        _fmt(rep.gamma_exp),
-                        _fmt(rep.c),
-                        _fmt(rep.r),
-                        _fmt(rep.t),
-                        _fmt(rep.residual_paper_form),
-                        _fmt(rep.residual_corrected_form),
-                    ]
-                )
-    rows = getattr(report, "_fbe_rows", None)
-    if rows:
-        with open(
-            os.path.join(out_dir, "fbe_residual_grid.csv"), "w", newline=""
-        ) as fh:
-            w = csv.writer(fh)
-            w.writerow(["nu", "x", "t", "residual"])
-            for nu, x, t, r in rows:
-                w.writerow([_fmt(nu), _fmt(x), _fmt(t), _fmt(r)])
+
+
+# name -> (suite function, the run_suite options it reads)
+_SUITES = {
+    "normalization": (_suite_normalization, ()),
+    "representations": (_suite_representations, ()),
+    "transforms": (_suite_transforms, ()),
+    "presets": (_suite_presets, ()),
+    "fractional": (_suite_fractional, ()),
+    "pde": (_suite_pde, ("h_levels",)),
+    "sampling": (_suite_sampling, ("threads",)),
+}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(
@@ -950,20 +905,9 @@ def run_suite(
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     report = SuiteReport(suite=name, seed=int(seed))
-    if name == "normalization":
-        _suite_normalization(report, threads)
-    elif name == "representations":
-        _suite_representations(report, threads)
-    elif name == "transforms":
-        _suite_transforms(report, threads)
-    elif name == "presets":
-        _suite_presets(report, threads)
-    elif name == "fractional":
-        _suite_fractional(report, threads)
-    elif name == "pde":
-        _suite_pde(report, threads, h_levels)
-    else:
-        _suite_sampling(report, int(seed), threads)
+    suite, wanted = _SUITES[name]
+    options = {"threads": threads, "h_levels": h_levels}
+    suite(report, **{k: options[k] for k in wanted})
     if out_dir is not None:
         _write_reports(report, out_dir)
     return report

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+import barenblatt
 from barenblatt.cli import main
 
 
@@ -391,11 +392,21 @@ class TestOutputPlumbing:
         assert "0.31830988618379058" in out
 
 
+def package_env():
+    # a child imports the package under test even when only the runner's
+    # sys.path (pytest's `pythonpath`) points at it
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(barenblatt.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "barenblatt", "eval", "--preset", "wigner", "--grid", "-2:2:5"],
         capture_output=True,
         text=True,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("x,t,pdf,cdf")
@@ -407,7 +418,7 @@ STDIO_MODES = {"unbuffered": True, "buffered": False}
 
 
 def child_env(unbuffered):
-    env = dict(os.environ)
+    env = package_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     else:
@@ -436,22 +447,71 @@ def test_broken_pipe_exits_quietly():
 
 @pytest.mark.parametrize("mode", list(STDIO_MODES))
 @pytest.mark.parametrize(
-    "argv",
+    "argv, large",
     [
-        ["eval", "--preset", "wigner", "--grid", "-2:2:20001"],
-        ["sample", "--preset", "wigner", "--n", "20000", "--seed", "7", "--format", "json"],
+        (["eval", "--preset", "wigner", "--grid", "-2:2:20001"], True),
+        (["sample", "--preset", "wigner", "--n", "20000", "--seed", "7", "--format", "json"], True),
+        (["eval", "--preset", "wigner", "--grid", "-2:2:20001", "--format", "json"], True),
+        (["sample", "--preset", "wigner", "--n", "20000", "--seed", "7"], True),
+        (["presets"], False),
+        (["presets", "--format", "json"], False),
+        (["ft", "--preset", "wigner", "--grid", "0:10:41"], False),
+        (["msd", "--preset", "npme", "--m", "2", "--nu", "2", "--d", "1", "--grid", "0.5:4:8"], False),
+        (["verify", "presets"], False),
     ],
-    ids=["eval-csv", "sample-json"],
+    ids=[
+        "eval-csv",
+        "sample-json",
+        "eval-json",
+        "sample-csv",
+        "presets-csv",
+        "presets-json",
+        "ft",
+        "msd",
+        "verify-presets",
+    ],
 )
-def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv):
-    # output far larger than a pipe buffer, so the child waits on the reader
+def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv, large):
+    # the large outputs exceed a pipe buffer, so the child waits on the reader
     cmd = [sys.executable, "-m", "barenblatt", *argv]
     env = child_env(STDIO_MODES[mode])
     piped = subprocess.run(cmd, stdout=subprocess.PIPE, env=env, check=True).stdout
     target = tmp_path / "out"
     subprocess.run([*cmd, "--output", str(target)], env=env, check=True)
-    assert len(piped) > 1 << 18
+    if large:
+        assert len(piped) > 1 << 18
     assert piped == target.read_bytes()
+
+
+FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--preset", "wigner", "--t", "nan", "--grid", "0:1:3"],
+        ["ft", "--preset", "wigner", "--t", "inf", "--grid", "0:1:3"],
+        ["eval", "--preset", "wigner", "--grid", "nan:1:3"],
+        ["eval", "--preset", "wigner", "--grid", "0:inf:3"],
+        ["eval", *FAMILY_FLAGS, "--d", "0", "--grid", "0:1:3"],
+        ["verify", "pde", "--h-levels", "2"],
+        ["eval", "--alpha", "1", "--beta", "2", "--gamma", "1e308", "--c", "1", "--d", "1",
+         "--grid", "0:1:3"],
+    ],
+    ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308"],
+)
+def test_usage_error_exits_two(argv):
+    # refused input: exit 2, one error line, nothing on stdout, no traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "barenblatt", *argv],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("barenblatt: error: ")
 
 
 def test_stdout_without_binary_layer(tmp_path):

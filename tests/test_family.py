@@ -72,6 +72,10 @@ class TestNewFamily:
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=0.0, d=1),
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1.0, d=0),
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1.0, d=2.5),
+            # C not a finite positive float: nan, inf (c^-d overflows), 0
+            dict(alpha=1.0, beta_exp=2.0, gamma_exp=1e308, c=1.0, d=1),
+            dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1e-300, d=3),
+            dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1e300, d=3),
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
