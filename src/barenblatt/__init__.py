@@ -3,8 +3,8 @@
 The package is organised bottom-up:
 
     specfun      log-gamma, incomplete beta (and inverse), Bessel J,
-                 sphere measure, adaptive Gauss-Legendre quadrature
-                 (15-node value, separate 7-node error estimate)
+                 sphere measure, adaptive Gauss-Kronrod 7/15 quadrature
+                 (15 evaluations per panel give value and error estimate)
     family       the density family itself: pdf/cdf, moments, support
     sampling     exact samplers (inverse-cdf radius, uniform directions,
                  signed telegraph-type integral) on a deterministic RNG

@@ -316,6 +316,11 @@ def main(argv=None) -> int:
             argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
             break
     args = parser.parse_args(argv)
+    # RNG keys are 64-bit words; a value outside would silently wrap
+    for flag in ("seed", "stream"):
+        value = getattr(args, flag, 0)
+        if not 0 <= value < 1 << 64:
+            parser.error(f"--{flag} must lie in [0, 2**64), got {value}")
     handler = {
         "eval": _cmd_eval,
         "sample": _cmd_sample,

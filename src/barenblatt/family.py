@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import inv_reg_inc_beta, ln_gamma, reg_inc_beta
+from .specfun import inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta, sphere_surface
 
 __all__ = [
     "FamilyParams",
@@ -48,10 +48,6 @@ class FamilyParams:
     norm_c: float
 
 
-def _ln_beta(a: float, b: float) -> float:
-    return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
-
-
 def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
     """Validate parameters and compute the normalization constant.
 
@@ -73,13 +69,12 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
     if int(d) != d or int(d) < 1:
         raise ValueError(f"d must be an integer >= 1, got {d}")
     d = int(d)
-    ln_sphere = math.log(2.0) + 0.5 * d * math.log(math.pi) - ln_gamma(0.5 * d)
     with np.errstate(over="ignore", invalid="ignore"):
         ln_c = (
             math.log(beta_exp)
             - d * math.log(c)
-            - ln_sphere
-            - _ln_beta(d / beta_exp, gamma_exp + 1.0)
+            - ln_sphere(d)
+            - ln_beta(d / beta_exp, gamma_exp + 1.0)
         )
     try:
         norm_c = math.exp(ln_c)
@@ -145,8 +140,7 @@ def radial_pdf(p: FamilyParams, r, t):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be >= 0")
-    ln_sphere = math.log(2.0) + 0.5 * p.d * math.log(math.pi) - ln_gamma(0.5 * p.d)
-    out = math.exp(ln_sphere) * r_arr ** (p.d - 1) * _profile(p, r_arr, t)
+    out = sphere_surface(p.d) * r_arr ** (p.d - 1) * _profile(p, r_arr, t)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -199,7 +193,7 @@ def radial_moment(p: FamilyParams, k, t) -> float:
     k = float(k)
     if k < 0.0:
         raise ValueError(f"moment order must be >= 0, got {k}")
-    ln_ratio = _ln_beta((p.d + k) / p.beta_exp, p.gamma_exp + 1.0) - _ln_beta(
+    ln_ratio = ln_beta((p.d + k) / p.beta_exp, p.gamma_exp + 1.0) - ln_beta(
         p.d / p.beta_exp, p.gamma_exp + 1.0
     )
     return math.exp(k * math.log(p.c) + p.alpha * k * math.log(t) + ln_ratio)

@@ -70,9 +70,10 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        self._gen = np.random.Generator(
-            np.random.Philox(key=[self.seed, self.stream_id])
-        )
+        # an explicit uint64 key: a list of Python ints would pass ids
+        # >= 2**53 through float64 and drop their low bits
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self._gen = np.random.Generator(np.random.Philox(key=key))
         self._spawned = 0
 
     def uniform_open(self, size=None):

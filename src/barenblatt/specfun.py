@@ -2,8 +2,10 @@
 
 Provides log-gamma (Lanczos), the regularized incomplete beta function and
 its inverse, Bessel J of real nonnegative order, the surface measure of the
-unit sphere, and a globally adaptive Gauss-Legendre integrator.  Scalar
-inputs come back as Python floats, array inputs broadcast elementwise.
+unit sphere, and a globally adaptive integrator on the nested Gauss-Kronrod
+7/15 rule (15 integrand evaluations per panel give both the value and the
+error estimate).  Scalar inputs come back as Python floats, array inputs
+broadcast elementwise.
 """
 
 from __future__ import annotations
@@ -11,19 +13,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "QuadratureConfig",
     "QuadratureError",
-    "DEFAULT_QUADRATURE",
     "ln_gamma",
+    "ln_beta",
     "beta_fn",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "bessel_j",
+    "ln_sphere",
     "sphere_surface",
     "integrate",
 ]
@@ -101,18 +102,17 @@ def _ln_gamma_signed(x: float) -> tuple[float, float]:
     return val, math.copysign(1.0, s)
 
 
+def ln_beta(a, b):
+    """ln B(a, b) for a, b > 0.  Broadcasts; scalar in, float out."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+
+
 def beta_fn(a, b):
     """Euler beta B(a, b) for a, b > 0.  Broadcasts; scalar in, float out."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    out = np.exp(
-        np.asarray(ln_gamma(a_arr))
-        + np.asarray(ln_gamma(b_arr))
-        - np.asarray(ln_gamma(a_arr + b_arr))
-    )
-    if a_arr.ndim == 0 and b_arr.ndim == 0:
-        return float(out)
-    return out
+    out = np.exp(ln_beta(a, b))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +196,7 @@ def reg_inc_beta(x, a, b):
         ln_front = (
             aa * np.log(xx)
             + bb * np.log1p(-xx)
-            - (ln_gamma(aa) + ln_gamma(bb) - ln_gamma(aa + bb))
+            - ln_beta(aa, bb)
         )
         tail = np.exp(ln_front) * _beta_cont_frac(aa, bb, xx) / aa
         out[mid] = np.where(direct, tail, 1.0 - tail)
@@ -267,7 +267,7 @@ def inv_reg_inc_beta(p, a, b):
     idx = np.flatnonzero((p1 > 0.0) & (p1 < 1.0))
     xs = _inv_beta_seed(p1[idx], a1[idx], b1[idx])
     pc, ac, bc = p1[idx], a1[idx], b1[idx]
-    ln_b_fn = ln_gamma(ac) + ln_gamma(bc) - ln_gamma(ac + bc)
+    ln_b_fn = ln_beta(ac, bc)
     xlo = np.zeros_like(xs)
     xhi = np.ones_like(xs)
     for _ in range(_INV_BETA_MAX_NEWTON):
@@ -386,54 +386,59 @@ def bessel_j(mu, x):
 # ----------------------------------------------------------------------
 # sphere measure
 
+def ln_sphere(d) -> float:
+    """ln of the surface measure of the unit sphere in R^d."""
+    if int(d) != d or int(d) < 1:
+        raise ValueError("sphere measure requires an integer dimension d >= 1")
+    return math.log(2.0) + 0.5 * int(d) * math.log(math.pi) - ln_gamma(0.5 * int(d))
+
+
 def sphere_surface(d) -> float:
     """Surface measure of the unit sphere in R^d: 2 pi^{d/2} / Gamma(d/2)."""
-    if int(d) != d or int(d) < 1:
-        raise ValueError("sphere_surface requires an integer dimension d >= 1")
-    d = int(d)
-    return float(math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - ln_gamma(0.5 * d)))
+    return math.exp(ln_sphere(d))
 
 
 # ----------------------------------------------------------------------
 # adaptive quadrature
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Stopping rule for `integrate`: the summed panel error estimate must
-    drop below max(abs_tol, rel_tol * |integral|)."""
-
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_subdivisions: int = 4000
-
-    def __post_init__(self):
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be a positive integer")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+# stopping rule for `integrate`: the summed panel error estimate must drop
+# below max(_ABS_TOL, _REL_TOL * |integral|) within _MAX_SUBDIVISIONS splits
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-11
+_MAX_SUBDIVISIONS = 4000
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive integration could not meet the requested tolerance."""
+    """Adaptive integration could not meet the tolerance."""
 
 
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
-# one integrand call per batch of panels: 15 value nodes + 7 error nodes
-_PANEL_X = np.concatenate([_GL15_X, _GL7_X])
+# Gauss-Kronrod 7/15 on [-1, 1] (Kronrod 1965; QUADPACK qk15): the 8
+# nonnegative Kronrod nodes, descending, and their weights.  The nodes at
+# odd positions are the 7-point Gauss nodes; numpy supplies their weights.
+_XGK = (
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+)
+_WGK = (
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+)
+_K15_X = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_K15_W = np.array(_WGK + _WGK[-2::-1])
+_G7_W = np.polynomial.legendre.leggauss(7)[1]
 _EPS = float(np.finfo(float).eps)
 
 
 def _eval_panels(f, a, b):
-    """Gauss 15/7 pair on panels [a_i, b_i]; returns (values, error estimates)."""
+    """Gauss-Kronrod 7/15 on panels [a_i, b_i]: (values, error estimates)
+    from one integrand call at 15 nodes per panel."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    xs = mid[:, None] + half[:, None] * _PANEL_X[None, :]
+    xs = mid[:, None] + half[:, None] * _K15_X[None, :]
     flat = xs.reshape(-1)
     ys = np.asarray(f(flat), dtype=float)
     if ys.ndim == 0:
@@ -443,25 +448,27 @@ def _eval_panels(f, a, b):
     if not np.all(np.isfinite(ys)):
         raise QuadratureError("integrand returned a non-finite value")
     ys = ys.reshape(xs.shape)
-    g15 = half * (ys[:, :15] @ _GL15_W)
-    g7 = half * (ys[:, 15:] @ _GL7_W)
-    # |G15 - G7| plus a rounding floor so the estimate never promises more
+    k15 = half * (ys @ _K15_W)
+    g7 = half * (ys[:, 1::2] @ _G7_W)
+    # |K15 - G7| plus a rounding floor so the estimate never promises more
     # than double precision can deliver on that panel
-    floor = _EPS * np.abs(half) * (np.abs(ys[:, :15]) @ _GL15_W)
-    return g15, np.abs(g15 - g7) + floor
+    floor = _EPS * np.abs(half) * (np.abs(ys) @ _K15_W)
+    return k15, np.abs(k15 - g7) + floor
 
 
-def integrate(f, lo, hi, config: QuadratureConfig = DEFAULT_QUADRATURE, points=None) -> float:
-    """Globally adaptive Gauss-Legendre quadrature of f over [lo, hi].
+def integrate(f, lo, hi, points=None) -> float:
+    """Globally adaptive Gauss-Kronrod 7/15 quadrature of f over [lo, hi].
 
-    A 15-node rule gives each panel's value, a separate 7-node rule the
-    error estimate; the worst panel is bisected until the summed estimate
-    meets `config`.  `f` must accept a 1-d ndarray and return values of
-    the same shape (0-dim results broadcast).  `points` optionally seeds
-    interior breakpoints (kinks, oscillation half-periods).  Panels that
-    reach floating-point width stop refining but keep their error; if the
-    tolerance still cannot be met, or max_subdivisions is exhausted, or
-    the integrand returns a non-finite value, QuadratureError is raised.
+    Each panel costs 15 integrand evaluations: the Kronrod rule gives its
+    value and the difference from the embedded 7-node Gauss rule its error
+    estimate.  The worst panel is bisected until the summed estimate drops
+    below max(1e-11, 1e-11 |integral|).  `f` must accept a 1-d ndarray
+    and return values of the same shape (0-dim results broadcast).
+    `points` optionally seeds interior breakpoints (kinks, oscillation
+    half-periods).  Panels that reach floating-point width stop refining
+    but keep their error; if the tolerance still cannot be met, or 4000
+    bisections are exhausted, or the integrand returns a non-finite value,
+    QuadratureError is raised.
     """
     lo = float(lo)
     hi = float(hi)
@@ -487,7 +494,7 @@ def integrate(f, lo, hi, config: QuadratureConfig = DEFAULT_QUADRATURE, points=N
     total_err = float(np.sum(errs))
     min_width = 200.0 * _EPS * max(1.0, abs(lo), abs(hi))
     splits = 0
-    while total_err > max(config.abs_tol, config.rel_tol * abs(total)):
+    while total_err > max(_ABS_TOL, _REL_TOL * abs(total)):
         if not heap:
             raise QuadratureError(
                 "tolerance unattainable: all panels at floating-point width"
@@ -496,9 +503,9 @@ def integrate(f, lo, hi, config: QuadratureConfig = DEFAULT_QUADRATURE, points=N
         if bi - ai <= min_width:
             # frozen: its value and error stay counted, it just cannot shrink
             continue
-        if splits >= config.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureError(
-                f"max_subdivisions={config.max_subdivisions} exhausted "
+                f"{_MAX_SUBDIVISIONS} subdivisions exhausted "
                 f"(error estimate {total_err:.3e})"
             )
         splits += 1

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilyParams, pdf, radial_pdf, support_radius
-from .specfun import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    bessel_j,
-    beta_fn,
-    integrate,
-    ln_gamma,
-)
+from .specfun import bessel_j, beta_fn, integrate, ln_gamma, sphere_surface
 
 __all__ = [
     "EKParams",
@@ -43,7 +36,7 @@ __all__ = [
 _MAX_SEED_POINTS = 400
 
 
-def _power_endpoint_integral(g, p0: float, p1: float, config: QuadratureConfig, points=None) -> float:
+def _power_endpoint_integral(g, p0: float, p1: float, points=None) -> float:
     """Integral of s^{p0} (1-s)^{p1} g(s) over (0, 1) for p0, p1 > -1.
 
     The interval is split at 1/2 and an endpoint whose exponent is
@@ -68,14 +61,13 @@ def _power_endpoint_integral(g, p0: float, p1: float, config: QuadratureConfig, 
                 lambda w: (1.0 - s_of(w)) ** p1 * g(s_of(w)),
                 0.0,
                 0.5**q,
-                config,
                 points=[s**q for s in left_pts],
             )
             / q
         )
     else:
         total += integrate(
-            lambda s: s**p0 * (1.0 - s) ** p1 * g(s), 0.0, 0.5, config, points=left_pts
+            lambda s: s**p0 * (1.0 - s) ** p1 * g(s), 0.0, 0.5, points=left_pts
         )
     if p1 < 0.0:
         q = 1.0 + p1
@@ -85,14 +77,13 @@ def _power_endpoint_integral(g, p0: float, p1: float, config: QuadratureConfig, 
                 lambda w: s_of(w) ** p0 * g(s_of(w)),
                 0.0,
                 0.5**q,
-                config,
                 points=[(1.0 - s) ** q for s in right_pts],
             )
             / q
         )
     else:
         total += integrate(
-            lambda s: s**p0 * (1.0 - s) ** p1 * g(s), 0.5, 1.0, config, points=right_pts
+            lambda s: s**p0 * (1.0 - s) ** p1 * g(s), 0.5, 1.0, points=right_pts
         )
     return total
 
@@ -113,7 +104,7 @@ def _half_period_seeds(a: float, beta_exp: float):
     return (j * math.pi / abs(a)) ** beta_exp
 
 
-def char_fn_1d(p: FamilyParams, xi, t, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def char_fn_1d(p: FamilyParams, xi, t) -> float:
     """Characteristic function E[cos(xi X(t))] of the d = 1 family member.
 
     With u = (v/c)^beta the speed average becomes
@@ -138,7 +129,6 @@ def char_fn_1d(p: FamilyParams, xi, t, config: QuadratureConfig = DEFAULT_QUADRA
         lambda u: np.cos(a * u**inv_beta),
         inv_beta - 1.0,
         p.gamma_exp,
-        config,
         points=_half_period_seeds(a, p.beta_exp),
     )
     return val / beta_fn(inv_beta, p.gamma_exp + 1.0)
@@ -168,7 +158,7 @@ def _g_bessel_ratio(mu: float, w):
     return out
 
 
-def char_fn_radial(p: FamilyParams, xi_norm, t, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def char_fn_radial(p: FamilyParams, xi_norm, t) -> float:
     """Characteristic function of the d >= 2 member at frequency radius |xi|.
 
     The Bessel representation of the rotationally invariant transform,
@@ -196,7 +186,6 @@ def char_fn_radial(p: FamilyParams, xi_norm, t, config: QuadratureConfig = DEFAU
         lambda u: _g_bessel_ratio(mu, a * u**inv_beta),
         p.d / p.beta_exp - 1.0,
         p.gamma_exp,
-        config,
         points=_half_period_seeds(a, p.beta_exp),
     )
     return math.exp(ln_gamma(0.5 * p.d)) * val / beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)
@@ -221,7 +210,7 @@ def _mean_cos_projection(d: int, a):
     return 2.0 / beta_fn(0.5, 0.5 * (d - 1)) * (vals @ weights)
 
 
-def char_fn_projection(p: FamilyParams, xi_norm, t, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def char_fn_projection(p: FamilyParams, xi_norm, t) -> float:
     """Characteristic function via the radius-times-projection average.
 
     Outer adaptive quadrature over the speed-scale radial density (the
@@ -246,7 +235,7 @@ def char_fn_projection(p: FamilyParams, xi_norm, t, config: QuadratureConfig = D
 
     n = min(int(scale * p.c / math.pi), _MAX_SEED_POINTS)
     seeds = [j * math.pi / scale for j in range(1, n + 1)] if n >= 1 else None
-    return integrate(outer, 0.0, p.c, config, points=seeds)
+    return integrate(outer, 0.0, p.c, points=seeds)
 
 
 @dataclass(frozen=True)
@@ -267,7 +256,7 @@ class EKParams:
             raise ValueError(f"zeta must be > -1, got {self.zeta}")
 
 
-def ek_integral(ek: EKParams, f, x, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def ek_integral(ek: EKParams, f, x) -> float:
     """Erdelyi-Kober fractional integral I^{zeta,mu}_eta f at x > 0.
 
     Substituting s = (tau/x)^eta in
@@ -291,12 +280,11 @@ def ek_integral(ek: EKParams, f, x, config: QuadratureConfig = DEFAULT_QUADRATUR
         lambda s: np.asarray(f(x * s**inv_eta), dtype=float),
         ek.zeta,
         ek.mu - 1.0,
-        config,
     )
     return val / math.exp(ln_gamma(ek.mu))
 
 
-def epd_dalembert_1d(f, xi_param, c, x, t, config: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def epd_dalembert_1d(f, xi_param, c, x, t) -> float:
     """Singular-damped d'Alembert average
 
         u(x,t) = 2/B(xi,1/2) int_0^1 (1-y^2)^{xi-1}
@@ -323,7 +311,7 @@ def epd_dalembert_1d(f, xi_param, c, x, t, config: QuadratureConfig = DEFAULT_QU
         right = np.asarray(f(x - shift), dtype=float)
         return (1.0 + y) ** (xi_param - 1.0) * 0.5 * (left + right)
 
-    val = _power_endpoint_integral(g, 0.0, xi_param - 1.0, config)
+    val = _power_endpoint_integral(g, 0.0, xi_param - 1.0)
     return 2.0 / beta_fn(xi_param, 0.5) * val
 
 
@@ -396,10 +384,9 @@ def radial_prefactor_report(p: FamilyParams, r, t) -> RadialPrefactorReport:
     if not (0.0 < r < support_radius(p, t)):
         raise ValueError("r must lie strictly inside the support")
     mu_pow = 0.5 * p.d - 1.0
-    ln_sphere = math.log(2.0) + 0.5 * p.d * math.log(math.pi) - ln_gamma(0.5 * p.d)
     b_z = beta_fn((0.5 * p.d + 1.0) / p.beta_exp, p.gamma_exp + 1.0)
     b_r = beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)
-    prefactor = b_z / (math.exp(ln_sphere) * (p.c * t**p.alpha * r) ** mu_pow * b_r)
+    prefactor = b_z / (sphere_surface(p.d) * (p.c * t**p.alpha * r) ** mu_pow * b_r)
     z = r / t**p.alpha
     body = max(1.0 - min(z / p.c, 1.0) ** p.beta_exp, 0.0)
     f_z = (

@@ -19,7 +19,7 @@ from barenblatt import sampling as samp_mod
 from barenblatt import transforms as trans_mod
 from barenblatt.family import new_family, pdf, radial_pdf, support_radius
 from barenblatt.sampling import RngStream
-from barenblatt.specfun import DEFAULT_QUADRATURE, bessel_j, integrate
+from barenblatt.specfun import bessel_j, integrate
 from barenblatt.verify import (
     epd_residual,
     epd_type_wave_residual,
@@ -64,7 +64,6 @@ def test_mass_normalization_grid():
                             lambda r: radial_pdf(fam, r, 1.0),
                             0.0,
                             support_radius(fam, 1.0),
-                            DEFAULT_QUADRATURE,
                         )
                         worst = max(worst, abs(mass - 1.0))
     elapsed = time.perf_counter() - t0
@@ -103,9 +102,7 @@ def test_wigner_suite():
     for t in (0.5, 1.0, 2.0):
         r = support_radius(wig, t)
         for m in range(6):
-            mom = integrate(
-                lambda x: x ** (2 * m) * pdf(wig, x, t), -r, r, DEFAULT_QUADRATURE
-            )
+            mom = integrate(lambda x: x ** (2 * m) * pdf(wig, x, t), -r, r)
             want = preset_mod.catalan(m) * t**m
             worst = max(worst, abs(mom - want) / max(want, 1e-10))
     worst_msd = max(

@@ -164,6 +164,15 @@ class TestSample:
         )
         assert a != b
 
+    def test_adjacent_high_streams_differ(self, capsys):
+        # stream ids above 2**53 keep their low bits
+        outs = [
+            run_cli(capsys, "sample", "--preset", "wigner", "--n", "3", "--seed", "7",
+                    "--stream", str(2**63 + k))[1]
+            for k in (5, 6)
+        ]
+        assert outs[0] != outs[1]
+
     def test_coordinate_columns(self, capsys):
         code, out = run_cli(
             capsys,
@@ -497,8 +506,14 @@ FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]
         ["verify", "pde", "--h-levels", "2"],
         ["eval", "--alpha", "1", "--beta", "2", "--gamma", "1e308", "--c", "1", "--d", "1",
          "--grid", "0:1:3"],
+        ["sample", "--preset", "wigner", "--n", "3", "--seed", "-1"],
+        ["sample", "--preset", "wigner", "--n", "3", "--seed", str(2**64)],
+        ["sample", "--preset", "wigner", "--n", "3", "--seed", "7", "--stream", "-1"],
+        ["sample", "--preset", "wigner", "--n", "3", "--seed", "7", "--stream", str(2**64)],
+        ["verify", "presets", "--seed", "-1"],
     ],
-    ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308"],
+    ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308",
+         "seed-negative", "seed-2**64", "stream-negative", "stream-2**64", "verify-seed-negative"],
 )
 def test_usage_error_exits_two(argv):
     # refused input: exit 2, one error line, nothing on stdout, no traceback
@@ -514,6 +529,34 @@ def test_usage_error_exits_two(argv):
     assert proc.stderr.splitlines()[-1].startswith("barenblatt: error: ")
 
 
+class TrickleSink(io.RawIOBase):
+    """Binary sink that takes at most a few bytes per write, like a raw
+    pipe whose reader drains it slowly."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        n = min(len(b), 7)
+        self.data += bytes(b[:n])
+        return n
+
+
+def test_short_writes_are_retried(monkeypatch, tmp_path):
+    # more rows than one 4096-row chunk, so every chunk must be sent in full
+    argv = ["eval", "--preset", "wigner", "--grid", "-2:2:10001"]
+    sink = TrickleSink()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(sink, encoding="utf-8", newline=""))
+    assert main(argv) == 0
+    monkeypatch.undo()
+    target = tmp_path / "ev.csv"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert bytes(sink.data) == target.read_bytes()
+
+
 def test_stdout_without_binary_layer(tmp_path):
     argv = ["eval", "--preset", "wigner", "--grid", "-2:2:101"]
     redirected = io.StringIO()
@@ -524,3 +567,39 @@ def test_stdout_without_binary_layer(tmp_path):
     assert main([*argv, "--output", str(target)]) == 0
     with open(target, newline="") as fh:
         assert redirected.getvalue() == fh.read()
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def test_run_suites_script(tmp_path):
+    out = tmp_path / "reports"
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "run_suites.py"),
+         "--suites", "presets", "fractional", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split()[0] for line in proc.stdout.splitlines()] == ["presets", "fractional"]
+    for suite in ("presets", "fractional"):
+        assert json.loads((out / f"{suite}.json").read_text())["passed"] is True
+        assert (out / f"{suite}.csv").read_text().startswith("name,")
+
+
+def test_telegraph_eps_sweep_script():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "telegraph_eps_sweep.py"), "--n", "2000"],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    header = lines.index("eps,ks_to_cdf,ks_two_sample,n,xi,t,seed")
+    rows = list(csv.reader(lines[header + 1 :]))
+    assert [float(r[0]) for r in rows] == [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+    for r in rows:
+        assert 0.0 < float(r[1]) < 1.0 and 0.0 <= float(r[2]) < 1.0
+        assert r[3] == "2000"

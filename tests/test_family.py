@@ -16,7 +16,7 @@ from barenblatt.family import (
     self_similarity_residual,
     support_radius,
 )
-from barenblatt.specfun import QuadratureConfig, beta_fn, integrate, sphere_surface
+from barenblatt.specfun import beta_fn, integrate, sphere_surface
 
 
 def wigner():

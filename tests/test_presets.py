@@ -15,7 +15,7 @@ from barenblatt.presets import (
     wigner_preset,
     zkb_source_preset,
 )
-from barenblatt.specfun import DEFAULT_QUADRATURE, integrate
+from barenblatt.specfun import integrate
 
 # Reference values computed with mpmath at 34 significant digits.
 PLE_P3_D1 = {
@@ -47,12 +47,7 @@ WIGNER_AT_06_07 = 0.3551542407721193056642
 
 
 def quadrature_mass(fam, t=1.0):
-    return integrate(
-        lambda r: radial_pdf(fam, r, t),
-        0.0,
-        support_radius(fam, t),
-        DEFAULT_QUADRATURE,
-    )
+    return integrate(lambda r: radial_pdf(fam, r, t), 0.0, support_radius(fam, t))
 
 
 class TestPlePreset:
@@ -234,12 +229,7 @@ class TestWignerPreset:
         for t in (0.5, 1.0, 2.0):
             r = support_radius(fam, t)
             for m in range(6):
-                mom = integrate(
-                    lambda x: x ** (2 * m) * pdf(fam, x, t),
-                    -r,
-                    r,
-                    DEFAULT_QUADRATURE,
-                )
+                mom = integrate(lambda x: x ** (2 * m) * pdf(fam, x, t), -r, r)
                 assert mom == pytest.approx(
                     catalan(m) * t**m, rel=1e-8, abs=1e-10
                 )

@@ -40,6 +40,21 @@ class TestRngStream:
         b = RngStream(SEED, 1).uniform_open(50)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("stream_id", [2**63 + 5, 2**64 - 1, 0])
+    def test_key_keeps_every_bit(self, stream_id):
+        key = RngStream(7, stream_id)._gen.bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [7, stream_id]
+
+    def test_adjacent_high_ids_differ(self):
+        # ids >= 2**53 are not representable in float64; adjacent ones
+        # must still name different streams, for the stream and the seed
+        a = RngStream(7, 2**63 + 5).uniform_open(50)
+        b = RngStream(7, 2**63 + 6).uniform_open(50)
+        assert not np.array_equal(a, b)
+        a = RngStream(2**63 + 5, 7).uniform_open(50)
+        b = RngStream(2**63 + 6, 7).uniform_open(50)
+        assert not np.array_equal(a, b)
+
     def test_open_interval(self):
         u = RngStream(SEED).uniform_open(10000)
         assert np.all(u > 0.0) and np.all(u < 1.0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barenblatt.family import new_family, pdf, support_radius
-from barenblatt.specfun import QuadratureConfig, bessel_j
+from barenblatt.specfun import bessel_j
 from barenblatt.transforms import (
     EKParams,
     char_fn_1d,
@@ -57,7 +57,6 @@ class TestPowerEndpointIntegral:
     def test_beta_function_all_exponent_signs(self):
         # with g = 1 the helper must reproduce B(p0+1, p1+1) through every
         # combination of singular / regular endpoints
-        cfg = QuadratureConfig()
         one = lambda s: np.ones_like(np.asarray(s, dtype=float))
         for p0 in (-0.9, -0.3, 0.0, 1.7):
             for p1 in (-0.7, -0.5, 0.0, 2.4):
@@ -66,23 +65,21 @@ class TestPowerEndpointIntegral:
                     + math.lgamma(p1 + 1.0)
                     - math.lgamma(p0 + p1 + 2.0)
                 )
-                got = _power_endpoint_integral(one, p0, p1, cfg)
+                got = _power_endpoint_integral(one, p0, p1)
                 assert got == pytest.approx(want, rel=1e-11)
 
     def test_seed_points_do_not_change_value(self):
-        cfg = QuadratureConfig()
         g = lambda s: np.cos(7.0 * s)
-        base = _power_endpoint_integral(g, -0.5, 1.5, cfg)
-        seeded = _power_endpoint_integral(g, -0.5, 1.5, cfg, points=[0.13, 0.5, 0.77])
+        base = _power_endpoint_integral(g, -0.5, 1.5)
+        seeded = _power_endpoint_integral(g, -0.5, 1.5, points=[0.13, 0.5, 0.77])
         assert seeded == pytest.approx(base, abs=1e-12)
 
     def test_rejects_non_integrable_exponents(self):
-        cfg = QuadratureConfig()
         one = lambda s: np.ones_like(np.asarray(s, dtype=float))
         with pytest.raises(ValueError):
-            _power_endpoint_integral(one, -1.0, 0.0, cfg)
+            _power_endpoint_integral(one, -1.0, 0.0)
         with pytest.raises(ValueError):
-            _power_endpoint_integral(one, 0.0, -1.2, cfg)
+            _power_endpoint_integral(one, 0.0, -1.2)
 
 
 class TestCharFn1d:
