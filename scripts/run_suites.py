@@ -3,12 +3,15 @@
 Usage:
     python3 scripts/run_suites.py --out reports [--seed N] [--threads K]
 
-Exit status is nonzero if any check fails, so this doubles as a batch
-gate for CI-style runs.
+Beside the per-suite reports, --out receives summary.json: the seed,
+overall pass, and per suite its name, check count, failing check names
+and elapsed_s.  Exit status is nonzero if any check fails, so this
+doubles as a batch gate for CI-style runs.
 """
 
 import argparse
-import sys
+import json
+import os
 import time
 
 from barenblatt.verify import SUITE_NAMES, DEFAULT_SEED, run_suite
@@ -29,17 +32,26 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     all_ok = True
+    summary = []
     for name in args.suites:
         t0 = time.perf_counter()
         report = run_suite(name, seed=args.seed, out_dir=args.out, threads=args.threads)
         dt = time.perf_counter() - t0
-        n_fail = sum(1 for c in report.checks if not c.passed)
-        status = "ok" if report.passed else f"{n_fail} FAILED"
+        failed = [c for c in report.checks if not c.passed]
+        status = "ok" if report.passed else f"{len(failed)} FAILED"
         print(f"{name:16s} {len(report.checks):3d} checks  {status:12s} {dt:6.1f}s")
-        for c in report.checks:
-            if not c.passed:
-                print(f"    FAIL {c.name}: value={c.value!r} tol={c.tolerance!r}")
+        for c in failed:
+            print(f"    FAIL {c.name}: value={c.value!r} tol={c.tolerance!r}")
         all_ok = all_ok and report.passed
+        summary.append({
+            "name": name,
+            "checks": len(report.checks),
+            "failures": [c.name for c in failed],
+            "elapsed_s": dt,
+        })
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "summary.json"), "w") as fh:
+        json.dump({"seed": args.seed, "passed": all_ok, "suites": summary}, fh, indent=2)
     return 0 if all_ok else 1
 
 

@@ -15,7 +15,12 @@ of the interface and must not be reordered):
                          rounds; a batch of n is NOT the concatenation of
                          n scalar calls
     sample_epd_telegraph one spawned substream per variate; inside it the
-                         initial sign, then exponential gaps in chunks of 16
+                         initial sign at Philox word 0, then round r's 16
+                         exponential gaps at words 1+16r .. 16+16r.  A
+                         vectorised Philox4x64-10 kernel computes these
+                         words for all live paths of a round at once, in
+                         blocks of 1024 paths; variate i does not depend
+                         on the batch size
 """
 
 from __future__ import annotations
@@ -47,8 +52,12 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _mix64(z: int) -> int:
-    # splitmix64 finalizer; bijective on 64-bit words
+def _mix64(z):
+    """splitmix64 finalizer; bijective on 64-bit words.
+
+    One code for a Python int (masked after each product) and for a
+    uint64 array (where the products wrap and the mask is a no-op).
+    """
     z &= _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
@@ -56,6 +65,59 @@ def _mix64(z: int) -> int:
     z = (z * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return z
+
+
+def _child_id(stream_id, k):
+    """Stream id of child k of stream_id (int or uint64 array of k)."""
+    return _mix64(stream_id ^ (((k + 1) * _GOLDEN) & _MASK64))
+
+
+# Philox4x64-10 (Salmon et al., SC'11), the generator numpy's Philox runs.
+# Each multiplier is held with its 32-bit halves, so the kernel only ever
+# combines a uint64 scalar with a uint64 array (no scalar-scalar shift,
+# which numpy < 2 would promote to float64).
+_PHILOX_M = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LO32 = np.uint64(0xFFFFFFFF)
+
+
+def _mulhilo(m, x):
+    """(low, high) 64-bit words of the 128-bit product m * x, where m is
+    a (value, low half, high half) multiplier of _PHILOX_M."""
+    m, m0, m1 = m
+    x0, x1 = x & _LO32, x >> 32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = ((m0 * x0) >> 32) + (p01 & _LO32) + (p10 & _LO32)
+    return m * x, m1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _philox_words(k0, k1, first, blocks):
+    """Raw Philox4x64-10 words of many keys at once.
+
+    Row i is keyed (k0[i], k1[i]); its columns are the 4 * blocks words
+    from counter `first` on, counter b giving words 4(b-1) .. 4(b-1)+3.
+    Equal to np.random.Philox(key=[k0[i], k1[i]]).random_raw() from
+    word 4 * (first - 1) on.
+    """
+    shape = (k0.size, blocks)
+    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = k0[:, None], k1[:, None]
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.shape[0], 4 * blocks)
+
+
+def _unit_open(words):
+    """numpy's random() of each word plus 2**-54, as uniform_open draws it."""
+    return (words >> 11) * 2.0**-53 + 2.0**-54
 
 
 class RngStream:
@@ -68,8 +130,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        self.seed = int(seed)
+        self.stream_id = int(stream_id)
+        for name, v in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= v <= _MASK64:
+                raise ValueError(f"{name} must lie in [0, 2**64), got {v}")
         # an explicit uint64 key: a list of Python ints would pass ids
         # >= 2**53 through float64 and drop their low bits
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -118,8 +183,7 @@ class RngStream:
         """Independent child stream number k (pure; no state consumed)."""
         if k < 0:
             raise ValueError("substream index must be >= 0")
-        child = _mix64(self.stream_id ^ (((int(k) + 1) * _GOLDEN) & _MASK64))
-        return RngStream(self.seed, child)
+        return RngStream(self.seed, _child_id(self.stream_id, int(k)))
 
     def spawn(self) -> "RngStream":
         """Next child stream; the k-th spawn equals substream(k)."""
@@ -222,43 +286,70 @@ def sample_projection_w(rng: RngStream, d: int, size=None):
     return math.sqrt(b) if size is None else np.sqrt(b)
 
 
-_TELEGRAPH_CHUNK = 16
+_TELEGRAPH_CHUNK = 16  # gaps per path and round
+_TELEGRAPH_BLOCK = 1024  # paths per kernel pass; keeps peak memory flat
 
 
-def _telegraph_integral(child: RngStream, xi: float, t: float, eps: float):
-    """One realization of int_eps^t (sign path) ds plus the flip count.
+def _telegraph_paths(seed: int, ids, xi: float, t: float, eps: float):
+    """Initial signs, integrals int_eps^t (sign path) ds and flip counts
+    of the paths whose Philox keys are (seed, ids[i]).
 
     Events of the rate-xi/s Poisson process are generated backward from t
     by inversion: the cumulative rate from s to t is xi ln(t/s), so with
     T_k a unit-rate Poisson arrival sequence the event times are
     s_k = t exp(-T_k/xi), stopping once s_k < eps.  Folding the sign at
-    time t into the caller's symmetric initial sign, the integral over
-    the alternating segments telescopes to
+    time t into the symmetric initial sign, the integral over the
+    alternating segments telescopes to
 
         t + 2 sum_{k=1..K} (-1)^k s_k + (+eps if K odd else -eps).
 
-    Exponential gaps are drawn in chunks of 16 from the per-variate
-    substream; shrinking eps only extends the same T_k sequence, so
-    realizations are pathwise coupled across eps.
+    Path i reads the words of its own key: the sign at word 0, then
+    round r takes the 16 exponential gaps at words 1+16r .. 16+16r.
+    Each round computes those words for the paths still above eps at
+    once; a path with fewer than 16 events left above eps is done.
+    Shrinking eps only extends the same T_k sequence, so paths are
+    coupled across eps.
     """
-    total_t = 0.0
-    alt = 0.0
-    k = 0
-    while True:
-        gaps = child.exponentials(_TELEGRAPH_CHUNK)
-        arrivals = total_t + np.cumsum(gaps)
-        s = t * np.exp(-arrivals / xi)
-        alive = int(np.count_nonzero(s >= eps))  # prefix: s is decreasing
-        if alive:
-            ss = s[:alive]
-            sgn = np.where(np.arange(k + 1, k + alive + 1) % 2 == 1, -1.0, 1.0)
-            alt += float(sgn @ ss)
-            k += alive
-        if alive < _TELEGRAPH_CHUNK:
-            break
-        total_t = float(arrivals[-1])
-    integral = t + 2.0 * alt + (eps if k % 2 == 1 else -eps)
-    return integral, k
+    m = ids.size
+    k0 = np.full(m, seed, dtype=np.uint64)
+    k1 = np.asarray(ids, dtype=np.uint64)
+    head = _philox_words(k0, k1, 1, 1)
+    sign = np.where(_unit_open(head[:, 0]) < 0.5, -1.0, 1.0)
+    carry = head[:, 1:]  # the first 3 gaps of round 0
+    alt = np.zeros(m)
+    flips = np.zeros(m, dtype=np.int64)
+    arrived = np.zeros(m)
+    live = np.arange(m)
+    r = 0
+    while live.size:
+        # counters 4r+2 .. 4r+5 hold the rest of round r's gaps and the
+        # first 3 gaps of round r+1
+        words = np.concatenate([carry, _philox_words(k0[live], k1[live], 4 * r + 2, 4)], axis=1)
+        # in place, to hold few (paths, 16) arrays at once: gaps -ln U,
+        # arrival times, then s = t exp(-arrival/xi)
+        arrivals = np.log(_unit_open(words[:, :_TELEGRAPH_CHUNK]))
+        np.negative(arrivals, out=arrivals)
+        np.cumsum(arrivals, axis=1, out=arrivals)
+        arrivals += arrived[live, None]
+        s = np.divide(arrivals, -xi)
+        np.exp(s, out=s)
+        s *= t
+        above = s >= eps  # a prefix of each row: s is decreasing
+        s *= above
+        # a live path has 16r flips so far, so this round adds
+        # (s_2 - s_1) + (s_4 - s_3) + ...: pairs of one sign, which sum
+        # more accurately than the alternating terms one by one
+        alt[live] += np.sum(s[:, 1::2] - s[:, ::2], axis=1)
+        count = np.count_nonzero(above, axis=1)
+        flips[live] += count
+        more = count == _TELEGRAPH_CHUNK
+        live = live[more]
+        arrived[live] = arrivals[more, -1]
+        carry = words[more, _TELEGRAPH_CHUNK:]
+        del words, arrivals, s, above  # not held through the next kernel call
+        r += 1
+    integral = t + 2.0 * alt + np.where(flips % 2 == 1, eps, -eps)
+    return sign, integral, flips
 
 
 def sample_epd_telegraph(rng: RngStream, xi, c, t, eps, size=None):
@@ -267,9 +358,10 @@ def sample_epd_telegraph(rng: RngStream, xi, c, t, eps, size=None):
     N is the nonhomogeneous Poisson process with rate xi/s and U(0) is
     uniform on {-c, +c}.  The cumulative rate diverges at 0, so the
     simulation starts at eps: the neglected displacement is bounded by
-    c*eps.  Each variate owns one spawned substream (sign drawn first,
-    then the exponential gaps), so runs with smaller eps extend the same
-    paths instead of resampling them.
+    c*eps.  Variate i owns the stream of the i-th spawn() of rng (sign
+    drawn first, then the exponential gaps), so runs with smaller eps
+    extend the same paths instead of resampling them, and variate i does
+    not depend on size.  Paths run in blocks of 1024.
     """
     xi = float(xi)
     c = float(c)
@@ -279,16 +371,16 @@ def sample_epd_telegraph(rng: RngStream, xi, c, t, eps, size=None):
         raise ValueError("sample_epd_telegraph requires xi, c, t > 0")
     if not (0.0 < eps < t):
         raise ValueError(f"eps must lie in (0, t), got eps={eps}, t={t}")
-
-    def one() -> float:
-        child = rng.spawn()
-        s0 = child.signs()
-        integral, _ = _telegraph_integral(child, xi, t, eps)
-        return c * s0 * integral
-
-    if size is None:
-        return one()
-    return np.array([one() for _ in range(int(size))])
+    n = 1 if size is None else int(size)
+    if n < 0:
+        raise ValueError(f"size must be >= 0, got {n}")
+    ids = _child_id(rng.stream_id, np.arange(rng._spawned, rng._spawned + n, dtype=np.uint64))
+    rng._spawned += n
+    out = np.empty(n)
+    for lo in range(0, n, _TELEGRAPH_BLOCK):
+        sign, integral, _ = _telegraph_paths(rng.seed, ids[lo : lo + _TELEGRAPH_BLOCK], xi, t, eps)
+        out[lo : lo + _TELEGRAPH_BLOCK] = c * sign * integral
+    return float(out[0]) if size is None else out
 
 
 def ks_test(samples, cdf, alpha: float = 0.01) -> KSResult:

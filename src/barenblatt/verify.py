@@ -17,6 +17,7 @@ split internally, never the bytes drawn.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -810,12 +811,12 @@ def _suite_sampling(report: SuiteReport, threads: int):
     xi_t = 2.0
     fam_t = new_family(1.0, 2.0, xi_t - 1.0, 1.0, 1)
     direct = samp_mod.sample_position_1d(RngStream(seed, 531), fam_t, 1.0, n_ks)
-    ds = []
-    for eps in (1e-3, 1e-4, 1e-6):
-        tele = samp_mod.sample_epd_telegraph(
-            RngStream(seed, 530), xi_t, 1.0, 1.0, eps, n_ks
-        )
-        ds.append(_two_sample_ks(tele, direct))
+    eps_levels = (1e-3, 1e-4, 1e-6)
+    teles = [
+        samp_mod.sample_epd_telegraph(RngStream(seed, 530), xi_t, 1.0, 1.0, eps, n_ks)
+        for eps in eps_levels
+    ]
+    ds = [_two_sample_ks(tele, direct) for tele in teles]
     report.add(
         "telegraph-vs-position-sampler",
         ds[-1] <= 0.02,
@@ -829,6 +830,21 @@ def _suite_sampling(report: SuiteReport, threads: int):
         ds[2],
         ds[0],
         "distances " + ", ".join(f"{d:.6f}" for d in ds) + " over eps = 1e-3, 1e-4, 1e-6",
+    )
+    # Coupled paths differ only by the signed time spent in [eps', eps],
+    # so |U_eps - U_eps'| <= c |eps - eps'| (c = 1 here), attained by a
+    # path without events there; the margin covers rounding of sums of
+    # order c t.  A path from another stream misses by O(c).
+    ratio = max(
+        float(np.max(np.abs(ua - ub))) / abs(ea - eb)
+        for (ua, ea), (ub, eb) in itertools.combinations(zip(teles, eps_levels), 2)
+    )
+    report.add(
+        "telegraph-eps-pathwise",
+        ratio <= 1.0 + 1e-9,
+        ratio,
+        1.0 + 1e-9,
+        f"max |U_eps - U_eps'| / (c |eps - eps'|) over the 3 eps pairs, n = {n_ks}",
     )
 
     rng_a = RngStream(seed, 600)

@@ -341,10 +341,12 @@ def test_fractional_suite():
 def test_telegraph_representation(sampling_report):
     dist = _suite_check(sampling_report, "telegraph-vs-position-sampler")
     mono = _suite_check(sampling_report, "telegraph-eps-monotone")
+    path = _suite_check(sampling_report, "telegraph-eps-pathwise")
     _record(
         "telegraph-representation",
-        dist.passed and dist.value <= 0.02 and mono.passed,
-        f"two-sample KS {dist.value:.4f} at eps = 1e-6; {mono.detail}",
+        dist.passed and dist.value <= 0.02 and mono.passed and path.passed,
+        f"two-sample KS {dist.value:.4f} at eps = 1e-6; {mono.detail}; "
+        f"pathwise gap {path.value:.6f} of c |eps - eps'|",
     )
 
 

@@ -6,6 +6,7 @@ reasonable; one subprocess smoke test exercises the real entry point.
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import pytest
 
 import barenblatt
 from barenblatt.cli import main
+from barenblatt.verify import SuiteReport
 
 
 def run_cli(capsys, *argv):
@@ -586,6 +588,45 @@ def test_run_suites_script(tmp_path):
     for suite in ("presets", "fractional"):
         assert json.loads((out / f"{suite}.json").read_text())["passed"] is True
         assert (out / f"{suite}.csv").read_text().startswith("name,")
+
+
+def test_run_suites_summary(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "run_suites.py"),
+         "--suites", "presets", "fractional", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] is True
+    assert [s["name"] for s in summary["suites"]] == ["presets", "fractional"]
+    for s in summary["suites"]:
+        report = json.loads((tmp_path / f"{s['name']}.json").read_text())
+        assert s["checks"] == len(report["checks"]) > 0
+        assert s["failures"] == []
+        assert s["elapsed_s"] > 0.0
+
+
+def test_run_suites_summary_names_failures(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_suites", os.path.join(SCRIPTS, "run_suites.py"))
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def fake_run_suite(name, seed, out_dir, threads):
+        report = SuiteReport(suite=name, seed=seed)
+        report.add("fine", True, 0.0, 1.0)
+        report.add("broken", False, 2.0, 1.0)
+        return report
+
+    monkeypatch.setattr(script, "run_suite", fake_run_suite)
+    assert script.main(["--suites", "presets", "--out", str(tmp_path)]) == 1
+    assert "FAIL broken" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] is False
+    (suite,) = summary["suites"]
+    assert (suite["name"], suite["checks"], suite["failures"]) == ("presets", 2, ["broken"])
 
 
 def test_telegraph_eps_sweep_script():

@@ -13,7 +13,9 @@ from barenblatt.family import (
 from barenblatt.sampling import (
     KSResult,
     RngStream,
-    _telegraph_integral,
+    _child_id,
+    _philox_words,
+    _telegraph_paths,
     ks_test,
     parallel_draw,
     sample_beta,
@@ -54,6 +56,13 @@ class TestRngStream:
         a = RngStream(2**63 + 5, 7).uniform_open(50)
         b = RngStream(2**63 + 6, 7).uniform_open(50)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64 + 3)])
+    def test_ids_outside_64_bits_refused(self, seed, stream_id):
+        # these used to wrap onto the streams (2**64-1, 0), (0, 0),
+        # (0, 2**64-1) and (0, 3)
+        with pytest.raises(ValueError):
+            RngStream(seed, stream_id)
 
     def test_open_interval(self):
         u = RngStream(SEED).uniform_open(10000)
@@ -233,6 +242,50 @@ class TestSampleProjectionW:
         assert integrate(dens, 0.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
 
+def _telegraph_oracle(rng, xi, c, t, eps, n):
+    """Per-variate reference: one RngStream per path, gaps 16 at a time."""
+    out = []
+    for _ in range(n):
+        child = rng.spawn()
+        s0 = child.signs()
+        arrived, alt, k = 0.0, 0.0, 0
+        while True:
+            arrivals = arrived + np.cumsum(child.exponentials(16))
+            s = t * np.exp(-arrivals / xi)
+            above = int(np.count_nonzero(s >= eps))
+            alt += sum((-1.0) ** (k + j + 1) * s[j] for j in range(above))
+            k += above
+            if above < 16:
+                break
+            arrived = float(arrivals[-1])
+        out.append(c * s0 * (t + 2.0 * alt + (eps if k % 2 else -eps)))
+    return np.array(out)
+
+
+class TestPhilox:
+    KEYS = [(0, 0), (2**64 - 1, 2**63 + 5)] + [
+        tuple(int(v) for v in pair)
+        for pair in np.random.default_rng(5).integers(0, 2**64, size=(20, 2), dtype=np.uint64)
+    ]
+
+    def test_words_equal_numpy_philox(self):
+        k0 = np.array([k[0] for k in self.KEYS], dtype=np.uint64)
+        k1 = np.array([k[1] for k in self.KEYS], dtype=np.uint64)
+        words = _philox_words(k0, k1, 1, 12)
+        later = _philox_words(k0, k1, 6, 3)
+        for i, key in enumerate(self.KEYS):
+            ref = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(48)
+            assert np.array_equal(words[i], ref)
+            assert np.array_equal(later[i], ref[20:32])
+
+    def test_child_ids_equal_substream(self):
+        for stream_id in (0, 7, 2**63 + 5, 2**64 - 1):
+            base = RngStream(3, stream_id)
+            ks = np.arange(50, dtype=np.uint64)
+            want = [base.substream(k).stream_id for k in range(50)]
+            assert [int(v) for v in _child_id(stream_id, ks)] == want
+
+
 class TestTelegraph:
     def test_speed_bound(self):
         rng = RngStream(SEED, 22)
@@ -244,16 +297,18 @@ class TestTelegraph:
             sample_epd_telegraph(RngStream(SEED), 2.0, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             sample_epd_telegraph(RngStream(SEED), -1.0, 1.0, 1.0, 1e-3)
+        rng = RngStream(SEED)
+        with pytest.raises(ValueError):
+            sample_epd_telegraph(rng, 2.0, 1.0, 1.0, 1e-3, -3)
+        assert rng.spawn().stream_id == RngStream(SEED).substream(0).stream_id
+        assert sample_epd_telegraph(rng, 2.0, 1.0, 1.0, 1e-3, 0).shape == (0,)
 
     def test_flip_count_mean(self):
         # flips on [eps, t] are Poisson with mean xi ln(t/eps)
         xi, t, eps = 2.0, 1.0, 1e-4
         rng = RngStream(SEED, 23)
-        counts = []
-        for _ in range(2000):
-            child = rng.spawn()
-            child.signs()
-            counts.append(_telegraph_integral(child, xi, t, eps)[1])
+        ids = _child_id(rng.stream_id, np.arange(2000, dtype=np.uint64))
+        counts = list(_telegraph_paths(rng.seed, ids, xi, t, eps)[2])
         mean = xi * math.log(t / eps)
         sem = math.sqrt(mean / len(counts))
         assert abs(float(np.mean(counts)) - mean) <= 3.0 * sem
@@ -271,12 +326,37 @@ class TestTelegraph:
         # the integrals differ only by boundary terms of size O(eps)
         xi, t = 1.5, 1.0
         eps1, eps2 = 1e-2, 1e-4
-        c1 = RngStream(77, 0).substream(5)
-        c2 = RngStream(77, 0).substream(5)
-        i1, k1 = _telegraph_integral(c1, xi, t, eps1)
-        i2, k2 = _telegraph_integral(c2, xi, t, eps2)
+        ids = np.array([RngStream(77, 0).substream(5).stream_id], dtype=np.uint64)
+        _, (i1,), (k1,) = _telegraph_paths(77, ids, xi, t, eps1)
+        _, (i2,), (k2,) = _telegraph_paths(77, ids, xi, t, eps2)
         assert k2 >= k1
         assert abs(i1 - i2) <= 2.0 * (k2 - k1) * eps1 + eps1 + eps2
+
+    def test_variate_does_not_depend_on_size(self):
+        a = sample_epd_telegraph(RngStream(9, 2**63 + 5), 2.0, 1.3, 0.9, 1e-4, 250)
+        b = sample_epd_telegraph(RngStream(9, 2**63 + 5), 2.0, 1.3, 0.9, 1e-4, 5000)
+        assert a.tobytes() == b[:250].tobytes()
+
+    def test_calls_concatenate(self):
+        rng = RngStream(9, 4)
+        parts = [sample_epd_telegraph(rng, 1.5, 1.0, 1.0, 1e-3, 1300) for _ in range(2)]
+        whole = sample_epd_telegraph(RngStream(9, 4), 1.5, 1.0, 1.0, 1e-3, 2600)
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        # spawn() after a call continues where the variates stopped
+        assert rng.spawn().stream_id == RngStream(9, 4).substream(2600).stream_id
+
+    @pytest.mark.parametrize("xi", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6])
+    def test_matches_per_variate_oracle(self, xi, eps):
+        c, t = 1.3, 0.9
+        got = sample_epd_telegraph(RngStream(SEED, 27), xi, c, t, eps, 300)
+        want = _telegraph_oracle(RngStream(SEED, 27), xi, c, t, eps, 300)
+        assert np.max(np.abs(got - want)) <= 1e-14 * c * t
+
+    def test_scalar_call(self):
+        v = sample_epd_telegraph(RngStream(SEED, 28), 2.0, 1.0, 1.0, 1e-3)
+        assert isinstance(v, float)
+        assert v == sample_epd_telegraph(RngStream(SEED, 28), 2.0, 1.0, 1.0, 1e-3, 1)[0]
 
 
 class TestKsTest:
