@@ -48,11 +48,17 @@ class FamilyParams:
     norm_c: float
 
 
+# the largest gamma accepted: ln B and the incomplete beta at b = gamma + 1
+# are validated against mpmath and scipy up to 1e8
+_GAMMA_MAX = 1e8
+
+
 def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
     """Validate parameters and compute the normalization constant.
 
     C = beta / (c^d sigma(S^{d-1}) B(d/beta, gamma+1)), assembled in log
     space so extreme parameter combinations cannot overflow on the way.
+    gamma must lie in (0, 1e8].
     """
     alpha = float(alpha)
     beta_exp = float(beta_exp)
@@ -62,8 +68,8 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if beta_exp <= 0.0 or not math.isfinite(beta_exp):
         raise ValueError(f"beta_exp must be > 0, got {beta_exp}")
-    if gamma_exp <= 0.0 or not math.isfinite(gamma_exp):
-        raise ValueError(f"gamma_exp must be > 0, got {gamma_exp}")
+    if not 0.0 < gamma_exp <= _GAMMA_MAX:
+        raise ValueError(f"gamma_exp must lie in (0, {_GAMMA_MAX:g}], got {gamma_exp}")
     if c <= 0.0 or not math.isfinite(c):
         raise ValueError(f"c must be > 0, got {c}")
     if int(d) != d or int(d) < 1:

@@ -1,11 +1,13 @@
 """Special functions and adaptive quadrature, self-contained on numpy.
 
-Provides log-gamma (Lanczos), the regularized incomplete beta function and
-its inverse, Bessel J of real nonnegative order, the surface measure of the
-unit sphere, and a globally adaptive integrator on the nested Gauss-Kronrod
-7/15 rule (15 integrand evaluations per panel give both the value and the
-error estimate).  Scalar inputs come back as Python floats, array inputs
-broadcast elementwise.
+Provides log-gamma (Lanczos), ln B (Stirling differences for large
+arguments), the regularized incomplete beta function and its inverse,
+Bessel J of real nonnegative order, the surface measure of the unit sphere,
+and a globally adaptive integrator on the nested Gauss-Kronrod 7/15 rule
+(15 integrand evaluations per panel give both the value and the error
+estimate).  Scalar inputs come back as Python floats, array inputs
+broadcast elementwise.  The incomplete beta and its inverse broadcast too,
+but compute on one scalar (a, b) pair at a time.
 """
 
 from __future__ import annotations
@@ -102,11 +104,50 @@ def _ln_gamma_signed(x: float) -> tuple[float, float]:
     return val, math.copysign(1.0, s)
 
 
+# Stirling series of ln Gamma past its leading terms,
+#   Delta(z) = ln Gamma(z) - (z - 1/2) ln z + z - ln sqrt(2 pi)
+#            = sum_k B_2k / (2k (2k - 1) z^(2k - 1)),
+# in powers of 1/z^2; eight terms leave < 2e-18 absolute for z >= 10
+_STIRLING_COEF = (
+    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+    1.0 / 1188.0, -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0,
+)
+_LN_BETA_STIRLING_MIN = 10.0
+
+
+def _stirling_delta(z):
+    r = 1.0 / z
+    t = r * r
+    s = _STIRLING_COEF[-1]
+    for coef in _STIRLING_COEF[-2::-1]:
+        s = s * t + coef
+    return s * r
+
+
 def ln_beta(a, b):
-    """ln B(a, b) for a, b > 0.  Broadcasts; scalar in, float out."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b)
+    """ln B(a, b) for finite a, b > 0.  Broadcasts; scalar in, float out.
+
+    Below max(a, b) = 10 this is ln Gamma(a) + ln Gamma(b) - ln Gamma(a + b).
+    From 10 on that sum cancels about eps |ln Gamma(max(a, b))|, so
+    ln Gamma(max) - ln Gamma(a + b) comes from a Stirling difference
+    instead (DiDonato & Morris, ACM TOMS 708, 1992: algdiv).
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    scalar = a.ndim == 0
+    lo = np.atleast_1d(np.minimum(a, b)).ravel()
+    hi = np.atleast_1d(np.maximum(a, b)).ravel()
+    if not (np.all(lo > 0.0) and np.all(np.isfinite(hi))):
+        raise ValueError("ln_beta requires finite a > 0 and b > 0")
+    s = lo + hi
+    out = np.empty_like(lo)
+    near = hi < _LN_BETA_STIRLING_MIN
+    out[near] = ln_gamma(lo[near]) + ln_gamma(hi[near]) - ln_gamma(s[near])
+    # far: ln Gamma(hi) - ln Gamma(s) as a Stirling difference (algdiv)
+    l, h, t = lo[~near], hi[~near], s[~near]
+    out[~near] = ln_gamma(l) + (_stirling_delta(h) - _stirling_delta(t)) - (
+        (t - 0.5) * np.log1p(l / h) + l * (np.log(h) - 1.0)
+    )
+    return float(out[0]) if scalar else out.reshape(a.shape)
 
 
 def beta_fn(a, b):
@@ -117,97 +158,144 @@ def beta_fn(a, b):
 
 # ----------------------------------------------------------------------
 # regularized incomplete beta and its inverse
+#
+# Both public functions broadcast their arguments and then hand the lanes
+# of each distinct (a, b) pair to a core that takes a and b as scalars:
+# ln B(a, b) is computed once per pair, and lanes leave the continued
+# fraction and the Newton loop as they converge.  Every caller in this
+# package passes scalar a and b, which is a single pair.
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 
 
+def _by_pair(core, name, first, v, a, b):
+    """Broadcast (v, a, b), check the domain, and return core(v_k, a_k, b_k)
+    on the lanes of each distinct (a, b) pair.  Scalar in, float out."""
+    v = np.asarray(v, dtype=float)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    shape = np.broadcast_shapes(v.shape, a.shape, b.shape)
+    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+        raise ValueError(f"{name} requires a > 0 and b > 0")
+    v1 = np.broadcast_to(v, shape).ravel()
+    if not (np.all(v1 >= 0.0) and np.all(v1 <= 1.0)):
+        raise ValueError(f"{name} requires 0 <= {first} <= 1")
+    if a.size == 1 and b.size == 1:
+        out = core(v1, float(a.flat[0]), float(b.flat[0]))
+    else:
+        ab = np.stack([np.broadcast_to(a, shape).ravel(), np.broadcast_to(b, shape).ravel()])
+        pairs, group = np.unique(ab, axis=1, return_inverse=True)
+        group = group.ravel()
+        out = np.empty_like(v1)
+        for k, (ak, bk) in enumerate(pairs.T):
+            lanes = np.flatnonzero(group == k)
+            out[lanes] = core(v1[lanes], float(ak), float(bk))
+    return float(out[0]) if not shape else out.reshape(shape)
+
+
+def _clamp_tiny(v):
+    # in place: entries below _CF_TINY in magnitude become _CF_TINY
+    np.copyto(v, _CF_TINY, where=np.abs(v) < _CF_TINY)
+
+
+def _lentz_step(aa, c, d):
+    # in place: d <- 1/(1 + aa d) and c <- 1 + aa/c, denominators clamped
+    d *= aa
+    d += 1.0
+    _clamp_tiny(d)
+    np.divide(aa, c, out=c)
+    c += 1.0
+    _clamp_tiny(c)
+    np.divide(1.0, d, out=d)
+
+
 def _beta_cont_frac(a, b, x):
-    """Continued fraction for the incomplete beta, modified Lentz iteration.
+    """Continued fraction for the incomplete beta at scalar (a, b) over the
+    lanes of x, by modified Lentz iteration.
 
     Fast convergence needs x < (a + 1)/(a + b + 2); the caller arranges
-    that via the symmetry I_x(a, b) = 1 - I_{1-x}(b, a).
+    that via the symmetry I_x(a, b) = 1 - I_{1-x}(b, a).  A lane leaves the
+    working set on the step that converges it, so its value is final there.
+    Raises ValueError naming the first unconverged (x, a, b) after
+    _CF_MAX_ITER steps.
     """
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-    d = 1.0 / d
-    h = d.copy()
-    done = np.zeros(x.shape, dtype=bool)
+    out = np.empty_like(x)
+    lane = np.arange(x.size)
+    # rows x, c, d, h of the lanes still iterating; one take() drops the
+    # converged columns from all four
+    work = np.empty((4, x.size))
+    work[0] = x
+    work[1] = 1.0
+    x, c, d, h = work
+    d[:] = 1.0 - qab * x / qap
+    _clamp_tiny(d)
+    np.divide(1.0, d, out=d)
+    h[:] = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
-        d = 1.0 / d
-        h = np.where(done, h, h * d * c)
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
-        d = 1.0 / d
+        _lentz_step(m * (b - m) * x / ((qam + m2) * (a + m2)), c, d)
+        h *= d
+        h *= c
+        _lentz_step(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), c, d)
         delta = d * c
-        h = np.where(done, h, h * delta)
-        done |= np.abs(delta - 1.0) < _CF_EPS
-        if done.all():
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
+        h *= delta
+        conv = np.abs(delta - 1.0) < _CF_EPS
+        if conv.any():
+            k = np.flatnonzero(conv)
+            out[lane[k]] = h[k]
+            if k.size == lane.size:
+                return out
+            live = np.flatnonzero(~conv)
+            lane = lane[live]
+            work = work.take(live, axis=1)
+            x, c, d, h = work
+    raise ValueError(
+        f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
+        f"steps at x = {float(x[0])!r}, a = {a!r}, b = {b!r}"
+    )
+
+
+def _reg_inc_beta_pair(x, a, b):
+    out = np.where(x == 1.0, 1.0, 0.0)
+    mid = (x > 0.0) & (x < 1.0)
+    if not mid.any():
+        return out
+    direct = mid & (x < (a + 1.0) / (a + b + 2.0))
+    # the front factor x^a (1-x)^b / B(a, b) is symmetric under
+    # (a, b, x) -> (b, a, 1-x), so ln B serves both branches
+    ln_b = ln_beta(a, b)
+    for lanes, p, q, flip in ((direct, a, b, False), (mid & ~direct, b, a, True)):
+        xs = 1.0 - x[lanes] if flip else x[lanes]
+        if xs.size:
+            ln_front = p * np.log(xs) + q * np.log1p(-xs) - ln_b
+            tail = np.exp(ln_front) * _beta_cont_frac(p, q, xs) / p
+            out[lanes] = 1.0 - tail if flip else tail
+    return out
 
 
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b), for 0 <= x <= 1 and a, b > 0.
 
     Broadcasts over all three arguments; scalar in, float out.  The edge
-    values are exact: I_0 = 0 and I_1 = 1.
+    values are exact: I_0 = 0 and I_1 = 1.  Each distinct (a, b) pair is
+    one continued-fraction call per side of the reflection
+    I_x(a, b) = 1 - I_{1-x}(b, a); a lane whose fraction does not converge
+    raises ValueError naming the (x, a, b) the fraction was given.
     """
-    x_b, a_b, b_b = np.broadcast_arrays(
-        np.asarray(x, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
-    scalar = x_b.ndim == 0
-    shape = x_b.shape
-    x1 = np.atleast_1d(x_b).astype(float).ravel()
-    a1 = np.atleast_1d(a_b).astype(float).ravel()
-    b1 = np.atleast_1d(b_b).astype(float).ravel()
-    if np.any(a1 <= 0.0) or np.any(b1 <= 0.0):
-        raise ValueError("reg_inc_beta requires a > 0 and b > 0")
-    if np.any(x1 < 0.0) or np.any(x1 > 1.0) or not np.all(np.isfinite(x1)):
-        raise ValueError("reg_inc_beta requires 0 <= x <= 1")
-    out = np.empty_like(x1)
-    lo = x1 == 0.0
-    hi = x1 == 1.0
-    out[lo] = 0.0
-    out[hi] = 1.0
-    mid = ~(lo | hi)
-    if np.any(mid):
-        xm, am, bm = x1[mid], a1[mid], b1[mid]
-        direct = xm < (am + 1.0) / (am + bm + 2.0)
-        # front factor is symmetric under (a, b, x) -> (b, a, 1-x), so one
-        # continued fraction call covers both branches
-        xx = np.where(direct, xm, 1.0 - xm)
-        aa = np.where(direct, am, bm)
-        bb = np.where(direct, bm, am)
-        ln_front = (
-            aa * np.log(xx)
-            + bb * np.log1p(-xx)
-            - ln_beta(aa, bb)
-        )
-        tail = np.exp(ln_front) * _beta_cont_frac(aa, bb, xx) / aa
-        out[mid] = np.where(direct, tail, 1.0 - tail)
-    return float(out[0]) if scalar else out.reshape(shape)
+    return _by_pair(_reg_inc_beta_pair, "reg_inc_beta", "x", x, a, b)
 
 
 def _inv_beta_seed(p, a, b):
     """Starting guess for the inverse incomplete beta.
 
     For a, b > 1 the Abramowitz-Stegun 26.5.22 normal expansion; otherwise
-    matched power-law tails at both endpoints.
+    matched power-law tails at both endpoints.  a and b are lane arrays
+    like p: the seed's bytes depend on the array form of its exponents.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         pp = np.where(p < 0.5, p, 1.0 - p)
@@ -239,6 +327,56 @@ _INV_BETA_MAX_NEWTON = 100
 _INV_BETA_TOL = 1e-13
 
 
+def _inv_reg_inc_beta_pair(p, a, b):
+    out = np.where(p == 1.0, 1.0, 0.0)
+    idx = np.flatnonzero((p > 0.0) & (p < 1.0))
+    if idx.size == 0:
+        return out
+    # rows xs, pc, xlo, xhi of the lanes still open; one take() drops the
+    # converged columns from all four
+    work = np.zeros((4, idx.size))
+    xs, pc, xlo, xhi = work
+    pc[:] = p[idx]
+    xs[:] = _inv_beta_seed(pc, np.full(idx.size, a), np.full(idx.size, b))
+    xhi[:] = 1.0
+    ln_b = ln_beta(a, b)
+    for _ in range(_INV_BETA_MAX_NEWTON):
+        # through the module global, so a wrapper installed on
+        # reg_inc_beta sees every Newton step
+        r = reg_inc_beta(xs, a, b) - pc
+        pinched = (xhi - xlo) <= np.spacing(np.maximum(xhi, 1e-300))
+        conv = (np.abs(r) <= _INV_BETA_TOL) | pinched
+        if conv.any():
+            k = np.flatnonzero(conv)
+            out[idx[k]] = xs[k]
+            if k.size == idx.size:
+                return out
+            live = np.flatnonzero(~conv)
+            idx, r = idx[live], r[live]
+            work = work.take(live, axis=1)
+            xs, pc, xlo, xhi = work
+        np.minimum(xhi, xs, out=xhi, where=r > 0.0)
+        np.maximum(xlo, xs, out=xlo, where=r <= 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ln_pdf = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log1p(-xs) - ln_b
+            step = r * np.exp(-ln_pdf)
+            xn = xs - step
+        off = ~np.isfinite(xn) | (xn <= xlo) | (xn >= xhi)
+        np.copyto(xn, 0.5 * (xlo + xhi), where=off)
+        xs[:] = xn
+    # lanes that ran out of Newton budget: accept if close, else fail
+    r = np.abs(reg_inc_beta(xs, a, b) - pc)
+    if np.any(r > 1e-9):
+        k = int(np.argmax(r))
+        raise ValueError(
+            f"inv_reg_inc_beta did not converge at p = {float(pc[k])!r}, a = {a!r}, b = {b!r}: "
+            f"after the Newton budget of {_INV_BETA_MAX_NEWTON} steps the final "
+            f"residual |I_x - p| = {float(r[k]):.3g} exceeds 1e-9"
+        )
+    out[idx] = xs
+    return out
+
+
 def inv_reg_inc_beta(p, a, b):
     """Inverse of reg_inc_beta in its first argument.
 
@@ -246,58 +384,11 @@ def inv_reg_inc_beta(p, a, b):
     from an analytic seed.  A lane stops when |I_x - p| <= 1e-13 or when
     its bracket has collapsed to adjacent floats (steep quantiles: the
     residual then sits at the derivative-times-ulp quantization floor).
-    Broadcasts; scalar in, float out.
+    Lanes still open after 100 steps are accepted if |I_x - p| <= 1e-9;
+    otherwise ValueError names the worst (p, a, b).  Broadcasts, with one
+    Newton loop per distinct (a, b) pair; scalar in, float out.
     """
-    p_b, a_b, b_b = np.broadcast_arrays(
-        np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    )
-    scalar = p_b.ndim == 0
-    shape = p_b.shape
-    p1 = np.atleast_1d(p_b).astype(float).ravel()
-    a1 = np.atleast_1d(a_b).astype(float).ravel()
-    b1 = np.atleast_1d(b_b).astype(float).ravel()
-    if np.any(a1 <= 0.0) or np.any(b1 <= 0.0):
-        raise ValueError("inv_reg_inc_beta requires a > 0 and b > 0")
-    if np.any(p1 < 0.0) or np.any(p1 > 1.0) or not np.all(np.isfinite(p1)):
-        raise ValueError("inv_reg_inc_beta requires 0 <= p <= 1")
-    out = np.empty_like(p1)
-    out[p1 == 0.0] = 0.0
-    out[p1 == 1.0] = 1.0
-
-    idx = np.flatnonzero((p1 > 0.0) & (p1 < 1.0))
-    xs = _inv_beta_seed(p1[idx], a1[idx], b1[idx])
-    pc, ac, bc = p1[idx], a1[idx], b1[idx]
-    ln_b_fn = ln_beta(ac, bc)
-    xlo = np.zeros_like(xs)
-    xhi = np.ones_like(xs)
-    for _ in range(_INV_BETA_MAX_NEWTON):
-        if idx.size == 0:
-            break
-        r = reg_inc_beta(xs, ac, bc) - pc
-        pinched = (xhi - xlo) <= np.spacing(np.maximum(xhi, 1e-300))
-        conv = (np.abs(r) <= _INV_BETA_TOL) | pinched
-        if np.any(conv):
-            out[idx[conv]] = xs[conv]
-            keep = ~conv
-            idx, xs, pc, ac, bc = idx[keep], xs[keep], pc[keep], ac[keep], bc[keep]
-            xlo, xhi, ln_b_fn, r = xlo[keep], xhi[keep], ln_b_fn[keep], r[keep]
-            if idx.size == 0:
-                break
-        xhi = np.where(r > 0.0, np.minimum(xhi, xs), xhi)
-        xlo = np.where(r <= 0.0, np.maximum(xlo, xs), xlo)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ln_pdf = (ac - 1.0) * np.log(xs) + (bc - 1.0) * np.log1p(-xs) - ln_b_fn
-            step = r * np.exp(-ln_pdf)
-            xn = xs - step
-        off = ~np.isfinite(xn) | (xn <= xlo) | (xn >= xhi)
-        xs = np.where(off, 0.5 * (xlo + xhi), xn)
-    if idx.size:
-        # lanes that ran out of Newton budget: accept if close, else fail
-        r = np.abs(reg_inc_beta(xs, ac, bc) - pc)
-        if np.any(r > 1e-9):
-            raise RuntimeError("inv_reg_inc_beta did not converge")
-        out[idx] = xs
-    return float(out[0]) if scalar else out.reshape(shape)
+    return _by_pair(_inv_reg_inc_beta_pair, "inv_reg_inc_beta", "p", p, a, b)
 
 
 # ----------------------------------------------------------------------

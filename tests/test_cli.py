@@ -6,6 +6,7 @@ reasonable; one subprocess smoke test exercises the real entry point.
 
 import contextlib
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import barenblatt
+from barenblatt import specfun
 from barenblatt.cli import main
 from barenblatt.verify import SuiteReport
 
@@ -492,6 +494,42 @@ def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv, large):
     if large:
         assert len(piped) > 1 << 18
     assert piped == target.read_bytes()
+
+
+D3_FLAGS = ["--alpha", "0.4", "--beta", "1.5", "--gamma", "1.2", "--c", "1.3", "--d", "3"]
+D1_FLAGS = ["--alpha", "0.7", "--beta", "2.5", "--gamma", "0.8", "--c", "1.5", "--d", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["sample", "--preset", "wigner", "--n", "100000", "--seed", "7", "--stream", "3"],
+         "51717dcddbefb9799d5bcc843f5544774d8522fd3602342042a5a0d66ad4ed69"),
+        (["sample", *D3_FLAGS, "--n", "100000", "--seed", "7", "--stream", "3", "--format", "json"],
+         "95e9a463ae4f529ea170acf2ee15e03086ad17636b7e9ef1ced96d2df2fb9685"),
+        (["eval", *D1_FLAGS, "--t", "1.3", "--grid", "-2:2:4001"],
+         "6379d9b2fcb735e2c45c2cd6303e92103463d668bc63ae724cfbfdf6d0108265"),
+    ],
+    ids=["sample-wigner-csv", "sample-d3-json", "eval-d1-cdf"],
+)
+def test_pinned_output_bytes(tmp_path, argv, digest):
+    # SHA-256 of outputs written by the code before the incomplete beta
+    # moved to its scalar-(a, b) core: the draws (inverse incomplete beta)
+    # and the d = 1 cdf column (forward) must keep every byte
+    target = tmp_path / "out"
+    assert main([*argv, "--output", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_continued_fraction_failure_is_one_line_usage_error(monkeypatch, capsys):
+    # a continued fraction that runs out of steps names its lane and leaves
+    # the CLI through the usage-error path, not as a traceback
+    monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2)
+    code = main(["eval", *D1_FLAGS, "--grid", "0.9:0.9:1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "did not converge" in err and "a = 0.4, b = 1.8" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]

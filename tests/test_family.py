@@ -72,8 +72,11 @@ class TestNewFamily:
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=0.0, d=1),
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1.0, d=0),
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1.0, d=2.5),
-            # C not a finite positive float: nan, inf (c^-d overflows), 0
+            # gamma above the validated 1e8 (C itself is finite there now
+            # that ln B no longer cancels ln Gamma terms)
             dict(alpha=1.0, beta_exp=2.0, gamma_exp=1e308, c=1.0, d=1),
+            dict(alpha=1.0, beta_exp=2.0, gamma_exp=1.01e8, c=1.0, d=1),
+            # C not a finite positive float: inf (c^-d overflows), 0
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1e-300, d=3),
             dict(alpha=0.5, beta_exp=2.0, gamma_exp=1.0, c=1e300, d=3),
         ],
@@ -81,6 +84,14 @@ class TestNewFamily:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             new_family(**kwargs)
+
+    # C = 1/B(1/2, gamma + 1) at beta = 2, c = 1, d = 1, frozen with mpmath;
+    # ln Gamma differences were off by 1.5e-10 and 2.2e-8 relative here
+    @pytest.mark.parametrize(
+        "gamma_exp, expected", [(1e6, 564.1897951188192632438), (1e8, 5641.895856634672221668)]
+    )
+    def test_large_gamma_constant(self, gamma_exp, expected):
+        assert new_family(1.0, 2.0, gamma_exp, 1.0, 1).norm_c == pytest.approx(expected, rel=1e-13)
 
 
 class TestSupportRadius:

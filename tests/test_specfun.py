@@ -6,6 +6,7 @@ import scipy.special
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from barenblatt import specfun
 from barenblatt.specfun import (
     QuadratureError,
     _bessel_asymptotic,
@@ -107,6 +108,30 @@ class TestBetaFn:
         assert beta_fn(a, 1.0) == pytest.approx(1.0 / a, rel=1e-13)
 
 
+def mixed_pair_lanes():
+    """First arguments on a (6, 9) grid with four interleaved (a, b) pairs,
+    edge values included."""
+    rng = np.random.default_rng(11)
+    v = rng.uniform(0.0, 1.0, (6, 9))
+    v[0, :2] = 0.0, 1.0
+    pairs = np.array([(0.4, 2.2), (2.2, 0.4), (3.0, 12.5), (0.5, 0.5)])
+    a, b = pairs[rng.integers(0, len(pairs), v.shape)].transpose(2, 0, 1)
+    return v, a, b
+
+
+def assert_equals_per_pair(fn, out, v, a, b):
+    for ak, bk in {(float(x), float(y)) for x, y in zip(a.ravel(), b.ravel())}:
+        lanes = (a == ak) & (b == bk)
+        assert np.array_equal(out[lanes], fn(v[lanes], ak, bk))
+
+
+def scipy_sweep():
+    """200 log-uniform (a, b) pairs on [0.05, 50], 200 uniform points each."""
+    rng = np.random.default_rng(20261018)
+    a, b = np.exp(rng.uniform(math.log(0.05), math.log(50.0), (2, 200, 1)))
+    return rng.uniform(0.0, 1.0, (200, 200)), a, b
+
+
 class TestRegIncBeta:
     # frozen with mpmath (betainc regularized) at 34 significant digits
     @pytest.mark.parametrize(
@@ -158,11 +183,35 @@ class TestRegIncBeta:
         out = reg_inc_beta(np.array([0.2, 0.5, 0.8]), 2.0, np.array([1.0, 2.0, 3.0]))
         assert out.shape == (3,)
 
+    def test_mixed_pairs_equal_scalar_calls(self):
+        x, a, b = mixed_pair_lanes()
+        out = reg_inc_beta(x, a, b)
+        assert out.shape == x.shape
+        assert_equals_per_pair(reg_inc_beta, out, x, a, b)
+
+    def test_against_scipy_sweep(self):
+        x, a, b = scipy_sweep()
+        assert np.max(np.abs(reg_inc_beta(x, a, b) - scipy.special.betainc(a, b, x))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "x, a, b", [(1e-6, 0.5, 1e6), (1e-7, 0.5, 1e7), (5e-9, 0.5, 1e8), (0.3, 1e3, 2e3)]
+    )
+    def test_large_b(self, x, a, b):
+        # these were off by up to 7.6e-10 while ln B cancelled ln Gamma terms
+        assert reg_inc_beta(x, a, b) == pytest.approx(scipy.special.betainc(a, b, x), abs=1e-13)
+
+    def test_nonconvergence_names_lane(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_CF_MAX_ITER", 2)
+        with pytest.raises(ValueError, match=r"in 2 steps at x = 0\.3, a = 2\.0, b = 3\.0"):
+            reg_inc_beta(0.3, 2.0, 3.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             reg_inc_beta(-0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            reg_inc_beta(0.5, np.nan, 1.0)
 
 
 class TestInvRegIncBeta:
@@ -205,6 +254,24 @@ class TestInvRegIncBeta:
         assert xs.shape == ps.shape
         assert np.all(np.diff(xs) > 0.0)
         assert np.max(np.abs(reg_inc_beta(xs, 0.5, 2.5) - ps)) <= 1e-12
+
+    def test_mixed_pairs_equal_scalar_calls(self):
+        p, a, b = mixed_pair_lanes()
+        out = inv_reg_inc_beta(p, a, b)
+        assert out.shape == p.shape
+        assert_equals_per_pair(inv_reg_inc_beta, out, p, a, b)
+
+    def test_against_scipy_sweep(self):
+        p, a, b = scipy_sweep()
+        assert np.max(np.abs(inv_reg_inc_beta(p, a, b) - scipy.special.betaincinv(a, b, p))) <= 1e-10
+
+    def test_nonconvergence_names_lane_and_stage(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_INV_BETA_MAX_NEWTON", 1)
+        with pytest.raises(ValueError) as exc:
+            inv_reg_inc_beta(np.array([0.3, 0.999]), 2.5, 0.7)
+        msg = str(exc.value)
+        assert "a = 2.5, b = 0.7" in msg and ("p = 0.3," in msg or "p = 0.999," in msg)
+        assert "Newton budget of 1 steps" in msg and "final residual" in msg
 
 
 class TestBesselJ:
@@ -296,6 +363,44 @@ class TestLnBeta:
         val = ln_beta(2.0, 3.0)
         assert isinstance(val, float)
         assert val == pytest.approx(math.log(1.0 / 12.0), rel=1e-14)
+
+    # frozen with mpmath at 40 significant digits; scipy's betaln takes
+    # ln Gamma differences here and is itself off by up to 1.5e-10
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            (0.5, 1e5, -5.184096539560414128182),
+            (0.5, 1e6, -6.335390211057436964987),
+            (3.0, 1e8, -54.56889508129715085701),
+            (1e4, 1e8, -102107.5898764179438155),
+            (1e8, 1e8, -138629444.056817309125),
+            (0.3, 10.0, 0.4155886887611882265),
+            (12.5, 40.1, -29.04416565783392430094),
+            (1e-3, 1e8, 6.888758204644896295836),
+        ],
+    )
+    def test_large_arguments_frozen(self, a, b, expected):
+        assert ln_beta(a, b) == pytest.approx(expected, rel=1e-13)
+        assert ln_beta(b, a) == ln_beta(a, b)
+
+    def test_against_mpmath_up_to_1e8(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20261018)
+        a, b = np.exp(rng.uniform(math.log(1e-3), math.log(1e8), (2, 300)))
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.beta(x, y))) for x, y in zip(a, b)])
+        assert np.max(np.abs(ln_beta(a, b) - ref) / np.abs(ref)) <= 1e-13
+
+    def test_gamma_sum_below_ten(self):
+        # below max(a, b) = 10 the value is the ln Gamma sum, to the bit
+        a = np.array([1e-3, 0.4, 1.0, 2.5, 9.99])
+        b = a[:, None]
+        assert np.array_equal(ln_beta(a, b), ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (np.nan, 20.0)])
+    def test_domain(self, a, b):
+        with pytest.raises(ValueError):
+            ln_beta(a, b)
 
 
 class TestIntegrate:
