@@ -219,7 +219,8 @@ def _cmd_ft(args, parser) -> int:
         fn = trans_mod.char_fn_projection
     else:
         fn = trans_mod.char_fn_radial
-    rows = [(xi, args.t, float(fn(fam, xi, args.t))) for xi in xis.tolist()]
+    cf = fn(fam, xis, args.t)
+    rows = [(xi, args.t, v) for xi, v in zip(xis.tolist(), cf.tolist())]
     _emit(rows, ["xi", "t", "cf"], args)
     return 0
 

@@ -97,7 +97,7 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
 def _check_time(t) -> float:
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"t must be > 0, got {t}")
+        raise ValueError(f"t must be finite and > 0, got {t}")
     return t
 
 

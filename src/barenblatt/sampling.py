@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import FamilyParams
+from .family import FamilyParams, _check_time
 from .specfun import inv_reg_inc_beta
 
 __all__ = [
@@ -234,9 +234,7 @@ def sample_position_1d(rng: RngStream, p: FamilyParams, t, size=None):
     """
     if p.d != 1:
         raise ValueError(f"sample_position_1d requires d = 1, got d = {p.d}")
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     d_sign = rng.signs(size)
     v = sample_velocity(rng, p, size)
     return d_sign * v * t**p.alpha
@@ -262,9 +260,7 @@ def sample_position(rng: RngStream, p: FamilyParams, t, size=None):
     """
     if p.d == 1:
         return sample_position_1d(rng, p, t, size)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     y = sample_beta(rng, p.d / p.beta_exp, p.gamma_exp + 1.0, size)
     r = p.c * t**p.alpha * np.asarray(y) ** (1.0 / p.beta_exp)
     theta = sample_direction(rng, p.d, size)

@@ -5,15 +5,15 @@ arguments), the regularized incomplete beta function and its inverse,
 Bessel J of real nonnegative order, the surface measure of the unit sphere,
 and a globally adaptive integrator on the nested Gauss-Kronrod 7/15 rule
 (15 integrand evaluations per panel give both the value and the error
-estimate).  Scalar inputs come back as Python floats, array inputs
-broadcast elementwise.  The incomplete beta and its inverse broadcast too,
-but compute on one scalar (a, b) pair at a time.
+estimate).  The integrator takes vector integrands: m columns share one
+mesh, each column meets its own tolerance, and every refinement pass is
+one integrand call.  Scalar inputs come back as Python floats, array inputs
+broadcast elementwise.  The incomplete beta and its inverse take scalar a
+and b and broadcast over their first argument.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 
 import numpy as np
@@ -159,40 +159,30 @@ def beta_fn(a, b):
 # ----------------------------------------------------------------------
 # regularized incomplete beta and its inverse
 #
-# Both public functions broadcast their arguments and then hand the lanes
-# of each distinct (a, b) pair to a core that takes a and b as scalars:
-# ln B(a, b) is computed once per pair, and lanes leave the continued
-# fraction and the Newton loop as they converge.  Every caller in this
-# package passes scalar a and b, which is a single pair.
+# Both public functions take scalar a and b and hand every lane of their
+# first argument to a core that computes ln B(a, b) once; lanes leave the
+# continued fraction and the Newton loop as they converge.
 
 _CF_MAX_ITER = 300
 _CF_EPS = 1e-15
 _CF_TINY = 1e-300
 
 
-def _by_pair(core, name, first, v, a, b):
-    """Broadcast (v, a, b), check the domain, and return core(v_k, a_k, b_k)
-    on the lanes of each distinct (a, b) pair.  Scalar in, float out."""
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(v.shape, a.shape, b.shape)
-    if not (np.all(a > 0.0) and np.all(b > 0.0)):
+def _at_pair(core, name, first, v, a, b):
+    """Check the domain and return core(lanes of v, a, b) for scalar a and
+    b.  Scalar in, float out."""
+    if np.ndim(a) or np.ndim(b):
+        raise ValueError(f"{name} takes scalar a and b")
+    a = float(a)
+    b = float(b)
+    if not (a > 0.0 and b > 0.0):
         raise ValueError(f"{name} requires a > 0 and b > 0")
-    v1 = np.broadcast_to(v, shape).ravel()
+    v = np.asarray(v, dtype=float)
+    v1 = v.ravel()
     if not (np.all(v1 >= 0.0) and np.all(v1 <= 1.0)):
         raise ValueError(f"{name} requires 0 <= {first} <= 1")
-    if a.size == 1 and b.size == 1:
-        out = core(v1, float(a.flat[0]), float(b.flat[0]))
-    else:
-        ab = np.stack([np.broadcast_to(a, shape).ravel(), np.broadcast_to(b, shape).ravel()])
-        pairs, group = np.unique(ab, axis=1, return_inverse=True)
-        group = group.ravel()
-        out = np.empty_like(v1)
-        for k, (ak, bk) in enumerate(pairs.T):
-            lanes = np.flatnonzero(group == k)
-            out[lanes] = core(v1[lanes], float(ak), float(bk))
-    return float(out[0]) if not shape else out.reshape(shape)
+    out = core(v1, a, b)
+    return float(out[0]) if not v.shape else out.reshape(v.shape)
 
 
 def _clamp_tiny(v):
@@ -281,13 +271,13 @@ def _reg_inc_beta_pair(x, a, b):
 def reg_inc_beta(x, a, b):
     """Regularized incomplete beta I_x(a, b), for 0 <= x <= 1 and a, b > 0.
 
-    Broadcasts over all three arguments; scalar in, float out.  The edge
-    values are exact: I_0 = 0 and I_1 = 1.  Each distinct (a, b) pair is
-    one continued-fraction call per side of the reflection
-    I_x(a, b) = 1 - I_{1-x}(b, a); a lane whose fraction does not converge
-    raises ValueError naming the (x, a, b) the fraction was given.
+    a and b are scalars; x broadcasts, scalar in, float out.  The edge
+    values are exact: I_0 = 0 and I_1 = 1.  Each side of the reflection
+    I_x(a, b) = 1 - I_{1-x}(b, a) is one continued-fraction call; a lane
+    whose fraction does not converge raises ValueError naming the
+    (x, a, b) the fraction was given.
     """
-    return _by_pair(_reg_inc_beta_pair, "reg_inc_beta", "x", x, a, b)
+    return _at_pair(_reg_inc_beta_pair, "reg_inc_beta", "x", x, a, b)
 
 
 def _inv_beta_seed(p, a, b):
@@ -385,10 +375,10 @@ def inv_reg_inc_beta(p, a, b):
     its bracket has collapsed to adjacent floats (steep quantiles: the
     residual then sits at the derivative-times-ulp quantization floor).
     Lanes still open after 100 steps are accepted if |I_x - p| <= 1e-9;
-    otherwise ValueError names the worst (p, a, b).  Broadcasts, with one
-    Newton loop per distinct (a, b) pair; scalar in, float out.
+    otherwise ValueError names the worst (p, a, b).  a and b are scalars;
+    p broadcasts, with one Newton loop per call; scalar in, float out.
     """
-    return _by_pair(_inv_reg_inc_beta_pair, "inv_reg_inc_beta", "p", p, a, b)
+    return _at_pair(_inv_reg_inc_beta_pair, "inv_reg_inc_beta", "p", p, a, b)
 
 
 # ----------------------------------------------------------------------
@@ -526,7 +516,8 @@ _EPS = float(np.finfo(float).eps)
 
 def _eval_panels(f, a, b):
     """Gauss-Kronrod 7/15 on panels [a_i, b_i]: (values, error estimates)
-    from one integrand call at 15 nodes per panel."""
+    from one integrand call at 15 nodes per panel.  Shape (panels,) for a
+    1-d integrand, (panels, columns) for one that returns (n, m)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     xs = mid[:, None] + half[:, None] * _K15_X[None, :]
@@ -534,76 +525,86 @@ def _eval_panels(f, a, b):
     ys = np.asarray(f(flat), dtype=float)
     if ys.ndim == 0:
         ys = np.full(flat.shape, float(ys))
-    elif ys.shape != flat.shape:
-        raise QuadratureError("integrand must return an array matching its input")
+    elif ys.ndim > 2 or ys.shape[0] != flat.size:
+        raise QuadratureError("integrand must return shape (n,) or (n, m) for n nodes")
     if not np.all(np.isfinite(ys)):
         raise QuadratureError("integrand returned a non-finite value")
-    ys = ys.reshape(xs.shape)
-    k15 = half * (ys @ _K15_W)
-    g7 = half * (ys[:, 1::2] @ _G7_W)
+    cols = ys.shape[1:]
+    # (panels, nodes, columns): each rule is one weighted sum over nodes
+    ys = ys.reshape(a.size, 15, -1)
+    half = half[:, None]
+    k15 = half * (_K15_W @ ys)
+    g7 = half * (_G7_W @ ys[:, 1::2])
     # |K15 - G7| plus a rounding floor so the estimate never promises more
     # than double precision can deliver on that panel
-    floor = _EPS * np.abs(half) * (np.abs(ys) @ _K15_W)
-    return k15, np.abs(k15 - g7) + floor
+    floor = _EPS * np.abs(half) * (_K15_W @ np.abs(ys))
+    return k15.reshape(-1, *cols), (np.abs(k15 - g7) + floor).reshape(-1, *cols)
 
 
-def integrate(f, lo, hi, points=None) -> float:
+def integrate(f, lo, hi):
     """Globally adaptive Gauss-Kronrod 7/15 quadrature of f over [lo, hi].
 
-    Each panel costs 15 integrand evaluations: the Kronrod rule gives its
-    value and the difference from the embedded 7-node Gauss rule its error
-    estimate.  The worst panel is bisected until the summed estimate drops
-    below max(1e-11, 1e-11 |integral|).  `f` must accept a 1-d ndarray
-    and return values of the same shape (0-dim results broadcast).
-    `points` optionally seeds interior breakpoints (kinks, oscillation
-    half-periods).  Panels that reach floating-point width stop refining
-    but keep their error; if the tolerance still cannot be met, or 4000
-    bisections are exhausted, or the integrand returns a non-finite value,
-    QuadratureError is raised.
+    `f` takes a 1-d ndarray of n nodes and returns shape (n,) (0-dim
+    results broadcast), giving a float, or (n, m) for m integrands on one
+    mesh, giving an (m,) array.  Each panel costs 15 nodes: the Kronrod
+    rule gives its value and the difference from the embedded 7-node
+    Gauss rule its error estimate.  Column j is done once its summed
+    estimate is at most max(1e-11, 1e-11 |integral_j|).  On each pass
+    every open column marks its largest-error panels until the unmarked
+    ones hold at most half its tolerance; all marked panels are bisected
+    and their halves evaluated in one call to f.  Panels that reach
+    floating-point width stop refining but keep their error; if a column
+    is still open once every panel has reached that width, or more than
+    4000 bisections would be needed, or the integrand returns a
+    non-finite value, QuadratureError is raised.
     """
     lo = float(lo)
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("integration limits must be finite")
-    if lo == hi:
-        return 0.0
     sign = 1.0
     if lo > hi:
         lo, hi, sign = hi, lo, -1.0
-    breaks = [lo, hi]
-    if points is not None:
-        inner = sorted({float(pt) for pt in points if lo < float(pt) < hi})
-        breaks = [lo, *inner, hi]
-    a = np.asarray(breaks[:-1], dtype=float)
-    b = np.asarray(breaks[1:], dtype=float)
+    a = np.array([lo])
+    b = np.array([hi])
     vals, errs = _eval_panels(f, a, b)
-    counter = itertools.count()
-    heap: list = []
-    for ai, bi, gi, ei in zip(a, b, vals, errs):
-        heapq.heappush(heap, (-ei, next(counter), ai, bi, gi, ei))
-    total = float(np.sum(vals))
-    total_err = float(np.sum(errs))
+    scalar = vals.ndim == 1
+    vals, errs = vals.reshape(1, -1), errs.reshape(1, -1)
     min_width = 200.0 * _EPS * max(1.0, abs(lo), abs(hi))
     splits = 0
-    while total_err > max(_ABS_TOL, _REL_TOL * abs(total)):
-        if not heap:
+    while True:
+        total = vals.sum(axis=0)
+        total_err = errs.sum(axis=0)
+        tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
+        open_ = total_err > tol
+        if not open_.any():
+            return sign * float(total[0]) if scalar else sign * total
+        # frozen panels keep their value and error but cannot shrink
+        live = np.flatnonzero(b - a > min_width)
+        if live.size == 0:
             raise QuadratureError(
                 "tolerance unattainable: all panels at floating-point width"
             )
-        _, _, ai, bi, gi, ei = heapq.heappop(heap)
-        if bi - ai <= min_width:
-            # frozen: its value and error stay counted, it just cannot shrink
-            continue
-        if splits >= _MAX_SUBDIVISIONS:
+        err = errs[live][:, open_]
+        order = np.argsort(-err, axis=0)
+        ranked = np.take_along_axis(err, order, axis=0)
+        # a panel is marked while the error outside the panels ranked above
+        # it still exceeds half the column's tolerance
+        rest = total_err[open_] - (np.cumsum(ranked, axis=0) - ranked)
+        pick = live[np.unique(order[rest > 0.5 * tol[open_]])]
+        if splits + pick.size > _MAX_SUBDIVISIONS:
             raise QuadratureError(
                 f"{_MAX_SUBDIVISIONS} subdivisions exhausted "
-                f"(error estimate {total_err:.3e})"
+                f"(error estimate {float(np.max(total_err[open_])):.3e})"
             )
-        splits += 1
-        mid = 0.5 * (ai + bi)
-        cg, ce = _eval_panels(f, np.array([ai, mid]), np.array([mid, bi]))
-        total += float(cg.sum()) - gi
-        total_err += float(ce.sum()) - ei
-        heapq.heappush(heap, (-ce[0], next(counter), ai, mid, cg[0], ce[0]))
-        heapq.heappush(heap, (-ce[1], next(counter), mid, bi, cg[1], ce[1]))
-    return sign * total
+        splits += pick.size
+        mid = 0.5 * (a[pick] + b[pick])
+        new_vals, new_errs = _eval_panels(
+            f, np.concatenate([a[pick], mid]), np.concatenate([mid, b[pick]])
+        )
+        keep = np.ones(a.size, dtype=bool)
+        keep[pick] = False
+        a = np.concatenate([a[keep], a[pick], mid])
+        b = np.concatenate([b[keep], mid, b[pick]])
+        vals = np.concatenate([vals[keep], new_vals.reshape(2 * pick.size, -1)])
+        errs = np.concatenate([errs[keep], new_errs.reshape(2 * pick.size, -1)])

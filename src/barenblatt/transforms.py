@@ -5,8 +5,9 @@ representations (speed variable in 1d, radius-with-prefactor in d >= 2).
 All integrals run through one endpoint-aware reduction: every integrand
 here has the shape s^{p0} (1 - s)^{p1} g(s) on (0, 1) after a power
 substitution, and `_power_endpoint_integral` removes whichever endpoint
-exponent is negative before handing the panel to the adaptive rule.
-Oscillatory phases are tamed by seeding panel breakpoints at half-periods.
+exponent is negative before handing the panel to the adaptive rule.  The
+characteristic functions take a frequency array and integrate all of its
+entries as columns of one vector quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import FamilyParams, pdf, radial_pdf, support_radius
+from .family import FamilyParams, _check_time, pdf, radial_pdf, support_radius
 from .specfun import bessel_j, beta_fn, integrate, ln_gamma, sphere_surface
 
 __all__ = [
@@ -31,61 +32,43 @@ __all__ = [
     "radial_prefactor_report",
 ]
 
-# at most this many oscillation breakpoints are fed to the integrator;
-# beyond that the adaptive refinement is on its own
-_MAX_SEED_POINTS = 400
 
-
-def _power_endpoint_integral(g, p0: float, p1: float, points=None) -> float:
+def _power_endpoint_integral(g, p0: float, p1: float):
     """Integral of s^{p0} (1-s)^{p1} g(s) over (0, 1) for p0, p1 > -1.
 
     The interval is split at 1/2 and an endpoint whose exponent is
     negative (a true integrable singularity) is absorbed by substituting
-    s = w^{1/(1+p)} there, which turns the weight into a constant.
-    Nonnegative exponents are left to graded adaptive refinement.
-    `points` are breakpoint seeds in s-space and are mapped through the
-    substitutions.
+    s = w^{1/(1+p)} there, which turns the weight into the constant
+    1/(1+p).
+    Nonnegative exponents are left to graded adaptive refinement.  Like
+    an `integrate` integrand, g may return (n,) or (n, m) values on n
+    nodes; the result is then a float or an (m,) array.
     """
     if p0 <= -1.0 or p1 <= -1.0:
         raise ValueError("endpoint exponents must be > -1 for integrability")
-    seed = [] if points is None else list(points)
-    pts = sorted(float(s) for s in seed if 0.0 < float(s) < 1.0)
-    left_pts = [s for s in pts if s < 0.5]
-    right_pts = [s for s in pts if s > 0.5]
-    total = 0.0
+
+    def weighted(w, s):
+        # w scales each node's row of g(s), however many columns it has
+        return (w * np.asarray(g(s), dtype=float).T).T
+
+    def left(w):
+        s = w ** (1.0 / (1.0 + p0))
+        return weighted((1.0 - s) ** p1 / (1.0 + p0), s)
+
+    def right(w):
+        s = 1.0 - w ** (1.0 / (1.0 + p1))
+        return weighted(s**p0 / (1.0 + p1), s)
+
+    def plain(s):
+        return weighted(s**p0 * (1.0 - s) ** p1, s)
+
     if p0 < 0.0:
-        q = 1.0 + p0
-        s_of = lambda w: w ** (1.0 / q)
-        total += (
-            integrate(
-                lambda w: (1.0 - s_of(w)) ** p1 * g(s_of(w)),
-                0.0,
-                0.5**q,
-                points=[s**q for s in left_pts],
-            )
-            / q
-        )
+        total = integrate(left, 0.0, 0.5 ** (1.0 + p0))
     else:
-        total += integrate(
-            lambda s: s**p0 * (1.0 - s) ** p1 * g(s), 0.0, 0.5, points=left_pts
-        )
+        total = integrate(plain, 0.0, 0.5)
     if p1 < 0.0:
-        q = 1.0 + p1
-        s_of = lambda w: 1.0 - w ** (1.0 / q)
-        total += (
-            integrate(
-                lambda w: s_of(w) ** p0 * g(s_of(w)),
-                0.0,
-                0.5**q,
-                points=[(1.0 - s) ** q for s in right_pts],
-            )
-            / q
-        )
-    else:
-        total += integrate(
-            lambda s: s**p0 * (1.0 - s) ** p1 * g(s), 0.5, 1.0, points=right_pts
-        )
-    return total
+        return total + integrate(right, 0.0, 0.5 ** (1.0 + p1))
+    return total + integrate(plain, 0.5, 1.0)
 
 
 def _require_dim(p: FamilyParams, want_1d: bool):
@@ -95,16 +78,23 @@ def _require_dim(p: FamilyParams, want_1d: bool):
         raise ValueError(f"operation requires d >= 2, got d = {p.d}")
 
 
-def _half_period_seeds(a: float, beta_exp: float):
-    """Breakpoints in u-space where the phase a u^{1/beta} crosses j pi."""
-    n = min(int(abs(a) / math.pi), _MAX_SEED_POINTS)
-    if n < 1:
-        return None
-    j = np.arange(1, n + 1)
-    return (j * math.pi / abs(a)) ** beta_exp
+def _over_xi(cf, xi, nonnegative: bool):
+    """cf(1-d array of the nonzero frequencies) spread back over the shape
+    of xi, with exactly 1.0 at xi = 0.  Scalar in, float out."""
+    arr = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("xi must be finite")
+    if nonnegative and np.any(arr < 0.0):
+        raise ValueError("xi_norm must be >= 0")
+    flat = arr.ravel()
+    out = np.ones(flat.shape)
+    nonzero = flat != 0.0
+    if nonzero.any():
+        out[nonzero] = cf(flat[nonzero])
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def char_fn_1d(p: FamilyParams, xi, t) -> float:
+def char_fn_1d(p: FamilyParams, xi, t):
     """Characteristic function E[cos(xi X(t))] of the d = 1 family member.
 
     With u = (v/c)^beta the speed average becomes
@@ -113,25 +103,26 @@ def char_fn_1d(p: FamilyParams, xi, t) -> float:
                                         cos(a u^{1/beta}) du,
         a = xi c t^alpha,
 
-    which is the endpoint-weighted form handled by the shared reduction.
-    Real and even in xi; exactly 1 at xi = 0.
+    which is the endpoint-weighted form handled by the shared reduction;
+    the 1/B prefactor sits inside the integrand, so the quadrature
+    tolerance applies to the characteristic function itself.  xi may be
+    an array (one vector quadrature for all entries): scalar in, float
+    out.  Real and even in xi; exactly 1 at xi = 0.
     """
     _require_dim(p, want_1d=True)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    xi = float(xi)
-    if xi == 0.0:
-        return 1.0
-    a = xi * p.c * t**p.alpha
+    t = _check_time(t)
     inv_beta = 1.0 / p.beta_exp
-    val = _power_endpoint_integral(
-        lambda u: np.cos(a * u**inv_beta),
-        inv_beta - 1.0,
-        p.gamma_exp,
-        points=_half_period_seeds(a, p.beta_exp),
-    )
-    return val / beta_fn(inv_beta, p.gamma_exp + 1.0)
+    scale = 1.0 / beta_fn(inv_beta, p.gamma_exp + 1.0)
+
+    def cf(xi):
+        a = xi * p.c * t**p.alpha
+        return _power_endpoint_integral(
+            lambda u: scale * np.cos(np.multiply.outer(u**inv_beta, a)),
+            inv_beta - 1.0,
+            p.gamma_exp,
+        )
+
+    return _over_xi(cf, xi, nonnegative=False)
 
 
 def _g_bessel_ratio(mu: float, w):
@@ -158,7 +149,7 @@ def _g_bessel_ratio(mu: float, w):
     return out
 
 
-def char_fn_radial(p: FamilyParams, xi_norm, t) -> float:
+def char_fn_radial(p: FamilyParams, xi_norm, t):
     """Characteristic function of the d >= 2 member at frequency radius |xi|.
 
     The Bessel representation of the rotationally invariant transform,
@@ -168,27 +159,25 @@ def char_fn_radial(p: FamilyParams, xi_norm, t) -> float:
         Gamma(d/2)/B(d/beta, gamma+1) *
             int_0^1 u^{d/beta - 1} (1-u)^gamma g_mu(a u^{1/beta}) du,
 
-    a = |xi| c t^alpha.  This form has no 0/0 at xi = 0 and equals 1 there.
+    a = |xi| c t^alpha, with the prefactor inside the integrand.  xi_norm
+    may be an array (one vector quadrature): scalar in, float out.  This
+    form has no 0/0 at xi = 0 and equals 1 there.
     """
     _require_dim(p, want_1d=False)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    xi_norm = float(xi_norm)
-    if xi_norm < 0.0:
-        raise ValueError("xi_norm must be >= 0")
-    if xi_norm == 0.0:
-        return 1.0
-    a = xi_norm * p.c * t**p.alpha
+    t = _check_time(t)
     mu = 0.5 * p.d - 1.0
     inv_beta = 1.0 / p.beta_exp
-    val = _power_endpoint_integral(
-        lambda u: _g_bessel_ratio(mu, a * u**inv_beta),
-        p.d / p.beta_exp - 1.0,
-        p.gamma_exp,
-        points=_half_period_seeds(a, p.beta_exp),
-    )
-    return math.exp(ln_gamma(0.5 * p.d)) * val / beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)
+    scale = math.exp(ln_gamma(0.5 * p.d)) / beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)
+
+    def cf(xi):
+        a = xi * p.c * t**p.alpha
+        return _power_endpoint_integral(
+            lambda u: scale * _g_bessel_ratio(mu, np.multiply.outer(u**inv_beta, a)),
+            p.d / p.beta_exp - 1.0,
+            p.gamma_exp,
+        )
+
+    return _over_xi(cf, xi_norm, nonnegative=True)
 
 
 _GL64_T, _GL64_W = np.polynomial.legendre.leggauss(64)
@@ -206,36 +195,37 @@ def _mean_cos_projection(d: int, a):
     """
     a = np.asarray(a, dtype=float)
     weights = _GL64_SCALE * np.cos(_GL64_THETA) ** (d - 2)
-    vals = np.cos(a[..., None] * np.sin(_GL64_THETA))
-    return 2.0 / beta_fn(0.5, 0.5 * (d - 1)) * (vals @ weights)
+    total = np.zeros(a.shape)
+    # node by node, so a vector quadrature's (nodes, columns) array is
+    # never widened by 64
+    for w, s in zip(weights, np.sin(_GL64_THETA)):
+        total += w * np.cos(a * s)
+    return 2.0 / beta_fn(0.5, 0.5 * (d - 1)) * total
 
 
-def char_fn_projection(p: FamilyParams, xi_norm, t) -> float:
+def char_fn_projection(p: FamilyParams, xi_norm, t):
     """Characteristic function via the radius-times-projection average.
 
     Outer adaptive quadrature over the speed-scale radial density (the
     radial law at t = 1), inner fixed-rule average of cos over the
     projection factor:  E[cos(|xi| U W t^alpha)].  Independent route from
     char_fn_radial; their agreement is the computable content of the
-    product representation.
+    product representation.  xi_norm may be an array (one vector
+    quadrature): scalar in, float out.
     """
     _require_dim(p, want_1d=False)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    xi_norm = float(xi_norm)
-    if xi_norm < 0.0:
-        raise ValueError("xi_norm must be >= 0")
-    if xi_norm == 0.0:
-        return 1.0
-    scale = xi_norm * t**p.alpha
+    t = _check_time(t)
 
-    def outer(v):
-        return radial_pdf(p, v, 1.0) * _mean_cos_projection(p.d, scale * v)
+    def cf(xi):
+        scale = xi * t**p.alpha
+        return integrate(
+            lambda v: radial_pdf(p, v, 1.0)[:, None]
+            * _mean_cos_projection(p.d, np.multiply.outer(v, scale)),
+            0.0,
+            p.c,
+        )
 
-    n = min(int(scale * p.c / math.pi), _MAX_SEED_POINTS)
-    seeds = [j * math.pi / scale for j in range(1, n + 1)] if n >= 1 else None
-    return integrate(outer, 0.0, p.c, points=seeds)
+    return _over_xi(cf, xi_norm, nonnegative=True)
 
 
 @dataclass(frozen=True)
@@ -324,9 +314,7 @@ def velocity_representation_residual(p: FamilyParams, x, t):
     front).  Elementwise in x.
     """
     _require_dim(p, want_1d=True)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     x_arr = np.asarray(x, dtype=float)
     v = np.abs(x_arr) / t**p.alpha
     body = np.maximum(1.0 - np.minimum(v / p.c, 1.0) ** p.beta_exp, 0.0)
@@ -378,9 +366,7 @@ def radial_prefactor_report(p: FamilyParams, r, t) -> RadialPrefactorReport:
     """
     _require_dim(p, want_1d=False)
     r = float(r)
-    t = float(t)
-    if t <= 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     if not (0.0 < r < support_radius(p, t)):
         raise ValueError("r must lie strictly inside the support")
     mu_pow = 0.5 * p.d - 1.0

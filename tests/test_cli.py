@@ -309,6 +309,32 @@ class TestFt:
             main(["ft", "--preset", "wigner", "--grid", "1:2:2", "--kind", "projection"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "route, family",
+        [
+            ("char_fn_1d", ["--preset", "wigner"]),
+            ("char_fn_radial", ["--preset", "epd", "--nu", "2", "--c", "1", "--d", "3"]),
+            ("char_fn_projection", ["--preset", "epd", "--nu", "2", "--c", "1", "--d", "3",
+                                    "--kind", "projection"]),
+        ],
+    )
+    def test_one_route_call_per_grid(self, capsys, monkeypatch, route, family):
+        from barenblatt import transforms
+
+        calls = []
+        inner = getattr(transforms, route)
+
+        def counted(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(transforms, route, counted)
+        code, out = run_cli(capsys, "ft", *family, "--grid", "0:8:17")
+        assert code == 0
+        assert len(calls) == 1
+        rows = rows_of(out)[1:]
+        assert len(rows) == 17 and float(rows[0][2]) == 1.0
+
 
 class TestMsd:
     def test_wigner_msd_equals_t(self, capsys):

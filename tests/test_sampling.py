@@ -406,3 +406,11 @@ class TestParallelDraw:
         draw = lambda rng, m: sample_position(rng, p, 1.0, m)
         out = parallel_draw(SEED, 3, 70000, draw, threads=3)
         assert out.shape == (70000, 2)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("sampler, d", [(sample_position_1d, 1), (sample_position, 1), (sample_position, 3)])
+def test_position_samplers_refuse_bad_time(sampler, d, t):
+    p = new_family(0.5, 2.0, 1.0, 1.0, d)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        sampler(RngStream(SEED), p, t, 10)

@@ -119,10 +119,22 @@ def mixed_pair_lanes():
     return v, a, b
 
 
-def assert_equals_per_pair(fn, out, v, a, b):
-    for ak, bk in {(float(x), float(y)) for x, y in zip(a.ravel(), b.ravel())}:
+def pairs_of(a, b):
+    return {(float(x), float(y)) for x, y in zip(a.ravel(), b.ravel())}
+
+
+def assert_equals_per_pair(fn, v, a, b):
+    """Per (a, b) pair, one call on the lanes of that pair gives the bytes
+    of one scalar call per lane."""
+    for ak, bk in pairs_of(a, b):
         lanes = (a == ak) & (b == bk)
-        assert np.array_equal(out[lanes], fn(v[lanes], ak, bk))
+        out = fn(v[lanes], ak, bk)
+        assert np.array_equal(out, [fn(float(x), ak, bk) for x in v[lanes]])
+
+
+def per_pair(fn, v, a, b):
+    """fn over the rows of a (pairs, points) grid, one call per pair."""
+    return np.array([fn(v[k], float(a[k, 0]), float(b[k, 0])) for k in range(len(v))])
 
 
 def scipy_sweep():
@@ -180,18 +192,18 @@ class TestRegIncBeta:
                 assert np.max(np.abs(ours - ref)) <= 1e-13
 
     def test_broadcasting(self):
-        out = reg_inc_beta(np.array([0.2, 0.5, 0.8]), 2.0, np.array([1.0, 2.0, 3.0]))
-        assert out.shape == (3,)
+        # x broadcasts; a and b are scalars, so three pairs are three calls
+        assert reg_inc_beta(np.full((2, 3), 0.4), 2.0, 1.5).shape == (2, 3)
+        x, b = [0.2, 0.5, 0.8], [1.0, 2.0, 3.0]
+        out = [reg_inc_beta(xk, 2.0, bk) for xk, bk in zip(x, b)]
+        np.testing.assert_allclose(out, scipy.special.betainc(2.0, b, x), rtol=0.0, atol=1e-13)
 
     def test_mixed_pairs_equal_scalar_calls(self):
-        x, a, b = mixed_pair_lanes()
-        out = reg_inc_beta(x, a, b)
-        assert out.shape == x.shape
-        assert_equals_per_pair(reg_inc_beta, out, x, a, b)
+        assert_equals_per_pair(reg_inc_beta, *mixed_pair_lanes())
 
     def test_against_scipy_sweep(self):
         x, a, b = scipy_sweep()
-        assert np.max(np.abs(reg_inc_beta(x, a, b) - scipy.special.betainc(a, b, x))) <= 1e-13
+        assert np.max(np.abs(per_pair(reg_inc_beta, x, a, b) - scipy.special.betainc(a, b, x))) <= 1e-13
 
     @pytest.mark.parametrize(
         "x, a, b", [(1e-6, 0.5, 1e6), (1e-7, 0.5, 1e7), (5e-9, 0.5, 1e8), (0.3, 1e3, 2e3)]
@@ -256,14 +268,12 @@ class TestInvRegIncBeta:
         assert np.max(np.abs(reg_inc_beta(xs, 0.5, 2.5) - ps)) <= 1e-12
 
     def test_mixed_pairs_equal_scalar_calls(self):
-        p, a, b = mixed_pair_lanes()
-        out = inv_reg_inc_beta(p, a, b)
-        assert out.shape == p.shape
-        assert_equals_per_pair(inv_reg_inc_beta, out, p, a, b)
+        assert_equals_per_pair(inv_reg_inc_beta, *mixed_pair_lanes())
 
     def test_against_scipy_sweep(self):
         p, a, b = scipy_sweep()
-        assert np.max(np.abs(inv_reg_inc_beta(p, a, b) - scipy.special.betaincinv(a, b, p))) <= 1e-10
+        got = per_pair(inv_reg_inc_beta, p, a, b)
+        assert np.max(np.abs(got - scipy.special.betaincinv(a, b, p))) <= 1e-10
 
     def test_nonconvergence_names_lane_and_stage(self, monkeypatch):
         monkeypatch.setattr(specfun, "_INV_BETA_MAX_NEWTON", 1)
@@ -272,6 +282,13 @@ class TestInvRegIncBeta:
         msg = str(exc.value)
         assert "a = 2.5, b = 0.7" in msg and ("p = 0.3," in msg or "p = 0.999," in msg)
         assert "Newton budget of 1 steps" in msg and "final residual" in msg
+
+
+@pytest.mark.parametrize("fn", [reg_inc_beta, inv_reg_inc_beta])
+@pytest.mark.parametrize("a, b", [(np.array([2.0, 3.0]), 1.5), (2.0, np.array([1.5])), ([2.0], [1.5])])
+def test_array_pair_refused(fn, a, b):
+    with pytest.raises(ValueError, match=r"^\w+ takes scalar a and b$"):
+        fn(0.3, a, b)
 
 
 class TestBesselJ:
@@ -419,11 +436,6 @@ class TestIntegrate:
     def test_oscillatory(self):
         assert integrate(np.cos, 0.0, 10.0 * math.pi) == pytest.approx(0.0, abs=1e-9)
 
-    def test_kink_with_seed_points(self):
-        f = lambda x: np.abs(x - 1.0 / 3.0)
-        val = integrate(f, 0.0, 1.0, points=[1.0 / 3.0])
-        assert val == pytest.approx(5.0 / 18.0, abs=1e-13)
-
     def test_scalar_returning_integrand(self):
         assert integrate(lambda x: 2.0, 0.0, 3.0) == pytest.approx(6.0, abs=1e-12)
 
@@ -449,6 +461,55 @@ class TestIntegrate:
     def test_gaussian_against_erf(self):
         val = integrate(lambda x: np.exp(-x * x), -6.0, 6.0)
         assert val == pytest.approx(math.sqrt(math.pi) * math.erf(6.0), rel=1e-11)
+
+    def test_scalar_integrand_gives_float(self):
+        assert type(integrate(np.sin, 0.0, 1.0)) is float
+        assert type(integrate(lambda x: 2.0, 0.0, 1.0)) is float
+
+    def test_columns_meet_their_own_tolerance(self):
+        # column k is cos(k x) on [0, 1], whose integral is sin(k)/k
+        k = np.arange(41.0)
+        got = integrate(lambda x: np.cos(np.multiply.outer(x, k)), 0.0, 1.0)
+        want = np.ones_like(k)
+        want[1:] = np.sin(k[1:]) / k[1:]
+        assert got.shape == (41,)
+        assert np.all(np.abs(got - want) <= np.maximum(1e-11, 1e-11 * np.abs(want)))
+
+    def test_columns_cost_no_more_calls_than_the_hardest_alone(self):
+        k = np.arange(41.0)
+
+        def calls(ks):
+            count = []
+
+            def f(x):
+                count.append(x.size)
+                return np.cos(np.multiply.outer(x, ks))
+
+            integrate(f, 0.0, 1.0)
+            return len(count)
+
+        hardest = max(calls(k[j : j + 1]) for j in range(k.size))
+        assert calls(k) <= hardest
+
+    def test_one_column_is_an_array(self):
+        got = integrate(lambda x: x[:, None] ** 2, 0.0, 1.0)
+        assert got.shape == (1,)
+        assert got[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_reversed_limits_negate_every_column(self):
+        f = lambda x: np.stack([x, x * x], axis=1)
+        np.testing.assert_allclose(integrate(f, 1.0, 0.0), [-0.5, -1.0 / 3.0], atol=1e-12)
+
+    def test_bad_integrand_shape_raises(self):
+        with pytest.raises(QuadratureError, match="shape"):
+            integrate(lambda x: np.ones((x.size, 2, 2)), 0.0, 1.0)
+        with pytest.raises(QuadratureError, match="shape"):
+            integrate(lambda x: np.ones(x.size + 1), 0.0, 1.0)
+
+    def test_subdivision_cap(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 3)
+        with pytest.raises(QuadratureError, match="3 subdivisions exhausted"):
+            integrate(lambda x: np.cos(40.0 * x), 0.0, 1.0)
 
 
 
@@ -485,26 +546,34 @@ class TestGaussKronrod:
 
         def f(x):
             calls.append(np.array(x))
-            return np.ones_like(x)
+            return np.stack([np.ones_like(x), x], axis=1)
 
         a = np.array([0.0, 1.0, 3.0])
         b = np.array([1.0, 3.0, 3.5])
-        vals, _ = _eval_panels(f, a, b)
+        vals, errs = _eval_panels(f, a, b)
         assert len(calls) == 1
         nodes = calls[0].reshape(3, 15)
         assert np.all((nodes > a[:, None]) & (nodes < b[:, None]))
         assert np.all(np.diff(nodes, axis=1) > 0.0)
-        np.testing.assert_allclose(vals, b - a, rtol=1e-15)
+        # (panels, columns)
+        assert vals.shape == errs.shape == (3, 2)
+        np.testing.assert_allclose(vals[:, 0], b - a, rtol=1e-15)
+        np.testing.assert_allclose(vals[:, 1], 0.5 * (b * b - a * a), rtol=1e-15)
+        # a 1-d integrand is one column, returned as (panels,)
+        vals, errs = _eval_panels(np.cos, a, b)
+        assert vals.shape == errs.shape == (3,)
 
-    def test_integrate_spends_15_evaluations_per_panel(self):
+    def test_integrate_bisects_a_pass_in_one_call(self):
         sizes = []
 
         def f(x):
             sizes.append(x.size)
             return np.exp(np.sin(7.0 * x))
 
-        integrate(f, 0.0, 4.0, points=[1.0, 2.0])
-        # three seeded panels first, then two halves per bisection
-        assert sizes[0] == 3 * 15
+        integrate(f, 0.0, 4.0)
+        # the first panel, then per pass two halves of every marked panel,
+        # and some pass marks more than one
+        assert sizes[0] == 15
         assert len(sizes) > 1
-        assert set(sizes[1:]) == {2 * 15}
+        assert all(s % (2 * 15) == 0 for s in sizes[1:])
+        assert max(sizes) > 2 * 15

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from barenblatt.family import new_family, pdf, support_radius
 from barenblatt.specfun import bessel_j
+from scipy import special
 from barenblatt.transforms import (
     EKParams,
     char_fn_1d,
@@ -68,11 +69,14 @@ class TestPowerEndpointIntegral:
                 got = _power_endpoint_integral(one, p0, p1)
                 assert got == pytest.approx(want, rel=1e-11)
 
-    def test_seed_points_do_not_change_value(self):
-        g = lambda s: np.cos(7.0 * s)
-        base = _power_endpoint_integral(g, -0.5, 1.5)
-        seeded = _power_endpoint_integral(g, -0.5, 1.5, points=[0.13, 0.5, 0.77])
-        assert seeded == pytest.approx(base, abs=1e-12)
+    def test_columns_equal_separate_calls(self):
+        ks = np.array([0.5, 7.0, 19.0])
+        for p0, p1 in [(-0.5, 1.5), (0.3, -0.6)]:
+            got = _power_endpoint_integral(lambda s: np.cos(np.multiply.outer(s, ks)), p0, p1)
+            assert got.shape == (3,)
+            for k, val in zip(ks, got):
+                alone = _power_endpoint_integral(lambda s: np.cos(k * s), p0, p1)
+                assert val == pytest.approx(alone, abs=1e-12)
 
     def test_rejects_non_integrable_exponents(self):
         one = lambda s: np.ones_like(np.asarray(s, dtype=float))
@@ -455,3 +459,75 @@ class TestRadialPrefactorReport:
             radial_prefactor_report(p, 1.5, 1.0)
         with pytest.raises(ValueError):
             radial_prefactor_report(wigner(), 0.3, 1.0)
+
+
+ROUTES = [
+    (char_fn_1d, (0.7, 2.5, 0.8, 1.5, 1)),
+    (char_fn_1d, (0.5, 2.0, 0.5, 2.0, 1)),
+    (char_fn_radial, (0.4, 1.5, 1.2, 1.3, 3)),
+    (char_fn_radial, (0.5, 2.0, 1.5, 1.0, 12)),
+    (char_fn_projection, (0.5, 2.0, 1.0, 1.5, 2)),
+    (char_fn_projection, (1.0, 2.0, 2.0, 0.5, 3)),
+]
+
+
+class TestCharFnArrays:
+    @pytest.mark.parametrize("fn, member", ROUTES)
+    def test_array_matches_scalar_calls(self, fn, member):
+        p = new_family(*member)
+        xi = np.array([[0.0, 0.3, 2.5], [7.0, 13.0, 20.0]])
+        got = fn(p, xi, 0.9)
+        assert got.shape == xi.shape
+        assert got[0, 0] == 1.0
+        for x, val in zip(xi.ravel().tolist(), got.ravel()):
+            alone = fn(p, x, 0.9)
+            assert type(alone) is float
+            assert abs(val - alone) <= 1e-12
+
+    @pytest.mark.parametrize("fn, member", ROUTES)
+    def test_zero_frequency_array_is_exactly_one(self, fn, member):
+        got = fn(new_family(*member), np.zeros(3), 1.3)
+        assert np.array_equal(got, np.ones(3))
+
+    def test_radial_d12_against_bessel_closed_form(self):
+        # beta = 2: the transform is Gamma(nu+1) (2/s)^nu J_nu(s), s = |xi| c
+        # t^alpha, nu = d/2 + gamma; the prefactor sits inside the
+        # integrand, so the 1e-11 quadrature tolerance holds for the value
+        p = new_family(0.5, 2.0, 1.5, 1.0, 12)
+        xi = np.linspace(0.0, 40.0, 41)
+        got = char_fn_radial(p, xi, 1.0)
+        s, nu = xi[1:], 7.5
+        want = np.exp(special.gammaln(nu + 1.0) + nu * np.log(2.0 / s)) * special.jv(nu, s)
+        assert got[0] == 1.0
+        assert np.max(np.abs(got[1:] - want)) <= 1e-11
+
+    def test_wigner_against_bessel_closed_form(self):
+        # 2 J_1(2 xi sqrt(t)) / (2 xi sqrt(t)) up to xi = 200
+        xi = np.linspace(0.5, 200.0, 60)
+        s = 2.0 * xi * math.sqrt(1.3)
+        got = char_fn_1d(wigner(), xi, 1.3)
+        assert np.max(np.abs(got - 2.0 * special.j1(s) / s)) <= 1e-11
+
+
+NON_FINITE_OR_ZERO_T = [math.nan, math.inf, 0.0]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("t", NON_FINITE_OR_ZERO_T)
+    @pytest.mark.parametrize("fn, member", ROUTES[::2])
+    def test_char_fn_time(self, fn, member, t):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            fn(new_family(*member), 1.0, t)
+
+    @pytest.mark.parametrize("xi", [math.nan, math.inf, np.array([1.0, math.nan])])
+    @pytest.mark.parametrize("fn, member", ROUTES[::2])
+    def test_char_fn_frequency(self, fn, member, xi):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            fn(new_family(*member), xi, 1.0)
+
+    @pytest.mark.parametrize("t", NON_FINITE_OR_ZERO_T)
+    def test_residual_reports_time(self, t):
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            velocity_representation_residual(wigner(), 0.3, t)
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            radial_prefactor_report(new_family(0.5, 2.0, 1.0, 1.0, 3), 0.2, t)
