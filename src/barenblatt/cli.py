@@ -68,7 +68,12 @@ def _write_stdout(text: str) -> None:
 
 
 def _emit(rows, header, args) -> None:
-    """Write rows (sequences in header order) as CSV or JSON, chunk by chunk."""
+    """Write rows in header order as CSV or JSON, chunk by chunk.
+
+    `rows` is a 2-d float ndarray (the numeric commands, formatted a chunk
+    at a time) or a list of row sequences (presets, verify reports); the
+    bytes are the same either way.  len(rows) is the row count.
+    """
     path = _resolve_path(args.output)
     if path is None:
         for text in table_chunks(header, rows, args.format):
@@ -171,8 +176,7 @@ def _cmd_eval(args, parser) -> int:
         pts = np.zeros((xs.size, fam.d))
         pts[:, 0] = xs
         cols = [fam_mod.pdf(fam, pts, args.t)]
-    cols = [np.atleast_1d(col).tolist() for col in cols]
-    _emit(list(zip(xs.tolist(), [args.t] * xs.size, *cols)), header, args)
+    _emit(np.column_stack([xs, np.full(xs.size, args.t), *cols]), header, args)
     return 0
 
 
@@ -183,7 +187,7 @@ def _cmd_sample(args, parser) -> int:
         parser.error(f"--n must be >= 1, got {args.n}")
     rng = samp_mod.RngStream(args.seed, args.stream)
     pts = samp_mod.sample_position(rng, fam, args.t, args.n)
-    rows = np.asarray(pts, dtype=float).reshape(args.n, -1).tolist()
+    rows = np.asarray(pts, dtype=float).reshape(args.n, -1)
     _emit(rows, [f"x{i + 1}" for i in range(fam.d)], args)
     return 0
 
@@ -220,8 +224,7 @@ def _cmd_ft(args, parser) -> int:
     else:
         fn = trans_mod.char_fn_radial
     cf = fn(fam, xis, args.t)
-    rows = [(xi, args.t, v) for xi, v in zip(xis.tolist(), cf.tolist())]
-    _emit(rows, ["xi", "t", "cf"], args)
+    _emit(np.column_stack([xis, np.full(xis.size, args.t), cf]), ["xi", "t", "cf"], args)
     return 0
 
 
@@ -234,7 +237,7 @@ def _cmd_msd(args, parser) -> int:
     for t in ts.tolist():
         msd = fam_mod.radial_moment(fam, 2, t)
         rows.append((t, msd, msd / t ** (2.0 * fam.alpha)))
-    _emit(rows, ["t", "msd", "msd_over_t2alpha"], args)
+    _emit(np.array(rows), ["t", "msd", "msd_over_t2alpha"], args)
     return 0
 
 

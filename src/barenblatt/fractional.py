@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .family import _check_time
 from .presets import FractionalParams
 from .specfun import _ln_gamma_signed, ln_gamma
 
@@ -72,13 +73,11 @@ def rl_power_rule(exp_beta: float, nu: float, t: float) -> float:
     """
     exp_beta = float(exp_beta)
     nu = float(nu)
-    t = float(t)
     if not (exp_beta > -1.0):
         raise ValueError(f"exp_beta must be > -1, got {exp_beta}")
     if not (nu > 0.0):
         raise ValueError(f"nu must be > 0, got {nu}")
-    if not (t > 0.0):
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     z = 1.0 + exp_beta - nu
     if z <= 1e-12 and abs(z - round(z)) <= 1e-12:
         raise ValueError(
@@ -132,9 +131,7 @@ def fractional_solution(fp: FractionalParams, x, t):
     An unnormalized member shape with alpha = nu, beta = 2, gamma = 1 and
     front scale sqrt(C1/C2); not a probability density.  Elementwise in x.
     """
-    t = float(t)
-    if not (t > 0.0):
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     x_arr = np.asarray(x, dtype=float)
     s = (fp.C2 / fp.C1) * x_arr**2 * t ** (-2.0 * fp.nu)
     out = fp.C1 * t ** (-fp.nu) * np.maximum(1.0 - s, 0.0)
@@ -151,9 +148,7 @@ def fbe_residual(fp: FractionalParams, x: float, t: float) -> float:
     interior (where the positive part is inactive).
     """
     x = float(x)
-    t = float(t)
-    if not (t > 0.0):
-        raise ValueError(f"t must be > 0, got {t}")
+    t = _check_time(t)
     if not (x**2 < (fp.C1 / fp.C2) * t ** (2.0 * fp.nu)):
         raise ValueError("(x, t) is not strictly inside the support")
     nu = fp.nu

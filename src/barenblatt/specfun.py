@@ -556,7 +556,9 @@ def integrate(f, lo, hi):
     floating-point width stop refining but keep their error; if a column
     is still open once every panel has reached that width, or more than
     4000 bisections would be needed, or the integrand returns a
-    non-finite value, QuadratureError is raised.
+    non-finite value, QuadratureError is raised; the first two name the
+    interval and, for an (n, m) integrand, the column with the largest
+    open error.
     """
     lo = float(lo)
     hi = float(hi)
@@ -572,6 +574,16 @@ def integrate(f, lo, hi):
     vals, errs = vals.reshape(1, -1), errs.reshape(1, -1)
     min_width = 200.0 * _EPS * max(1.0, abs(lo), abs(hi))
     splits = 0
+
+    def failure(what, why=""):
+        # name the interval and, for a vector integrand, the worst open column
+        worst = np.flatnonzero(open_)[np.argmax(total_err[open_])]
+        column = "" if scalar else f"column {worst}, "
+        return QuadratureError(
+            f"{what} on [{lo!r}, {hi!r}]{why} "
+            f"({column}error estimate {total_err[worst]:.3e})"
+        )
+
     while True:
         total = vals.sum(axis=0)
         total_err = errs.sum(axis=0)
@@ -582,9 +594,7 @@ def integrate(f, lo, hi):
         # frozen panels keep their value and error but cannot shrink
         live = np.flatnonzero(b - a > min_width)
         if live.size == 0:
-            raise QuadratureError(
-                "tolerance unattainable: all panels at floating-point width"
-            )
+            raise failure("tolerance unattainable", ": all panels at floating-point width")
         err = errs[live][:, open_]
         order = np.argsort(-err, axis=0)
         ranked = np.take_along_axis(err, order, axis=0)
@@ -593,10 +603,7 @@ def integrate(f, lo, hi):
         rest = total_err[open_] - (np.cumsum(ranked, axis=0) - ranked)
         pick = live[np.unique(order[rest > 0.5 * tol[open_]])]
         if splits + pick.size > _MAX_SUBDIVISIONS:
-            raise QuadratureError(
-                f"{_MAX_SUBDIVISIONS} subdivisions exhausted "
-                f"(error estimate {float(np.max(total_err[open_])):.3e})"
-            )
+            raise failure(f"{_MAX_SUBDIVISIONS} subdivisions exhausted")
         splits += pick.size
         mid = 0.5 * (a[pick] + b[pick])
         new_vals, new_errs = _eval_panels(

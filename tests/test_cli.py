@@ -484,6 +484,10 @@ def test_broken_pipe_exits_quietly():
         assert "Traceback" not in err, mode
 
 
+D3_FLAGS = ["--alpha", "0.4", "--beta", "1.5", "--gamma", "1.2", "--c", "1.3", "--d", "3"]
+D1_FLAGS = ["--alpha", "0.7", "--beta", "2.5", "--gamma", "0.8", "--c", "1.5", "--d", "1"]
+
+
 @pytest.mark.parametrize("mode", list(STDIO_MODES))
 @pytest.mark.parametrize(
     "argv, large",
@@ -491,6 +495,8 @@ def test_broken_pipe_exits_quietly():
         (["eval", "--preset", "wigner", "--grid", "-2:2:20001"], True),
         (["sample", "--preset", "wigner", "--n", "20000", "--seed", "7", "--format", "json"], True),
         (["eval", "--preset", "wigner", "--grid", "-2:2:20001", "--format", "json"], True),
+        (["sample", *D3_FLAGS, "--n", "8000", "--seed", "7", "--format", "json"], True),
+        (["eval", *D3_FLAGS, "--grid", "-2:2:20001", "--format", "json"], True),
         (["sample", "--preset", "wigner", "--n", "20000", "--seed", "7"], True),
         (["presets"], False),
         (["presets", "--format", "json"], False),
@@ -502,6 +508,8 @@ def test_broken_pipe_exits_quietly():
         "eval-csv",
         "sample-json",
         "eval-json",
+        "sample-d3-json",
+        "eval-d3-json",
         "sample-csv",
         "presets-csv",
         "presets-json",
@@ -522,10 +530,6 @@ def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv, large):
     assert piped == target.read_bytes()
 
 
-D3_FLAGS = ["--alpha", "0.4", "--beta", "1.5", "--gamma", "1.2", "--c", "1.3", "--d", "3"]
-D1_FLAGS = ["--alpha", "0.7", "--beta", "2.5", "--gamma", "0.8", "--c", "1.5", "--d", "1"]
-
-
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -535,13 +539,24 @@ D1_FLAGS = ["--alpha", "0.7", "--beta", "2.5", "--gamma", "0.8", "--c", "1.5", "
          "95e9a463ae4f529ea170acf2ee15e03086ad17636b7e9ef1ced96d2df2fb9685"),
         (["eval", *D1_FLAGS, "--t", "1.3", "--grid", "-2:2:4001"],
          "6379d9b2fcb735e2c45c2cd6303e92103463d668bc63ae724cfbfdf6d0108265"),
+        (["sample", *D1_FLAGS, "--n", "100000", "--seed", "7", "--stream", "3", "--format", "json"],
+         "56f7aef1e72c3a053cab5d5702ede129145fa8f42467aeed8cf75d77ea613548"),
+        (["eval", *D3_FLAGS, "--t", "1.3", "--grid", "-2:2:4001", "--format", "json"],
+         "dea194ef033abdd049ddfb47fb87862e9602f2e18bb5e5ee1086464ded3f81d7"),
+        (["msd", *D3_FLAGS, "--grid", "0.5:4:50"],
+         "fa8db3ac8b9058b2f2fd2ea17292175826efd1c52b453aa2d4dc02e23c162478"),
+        (["msd", *D3_FLAGS, "--grid", "0.5:4:50", "--format", "json"],
+         "ce6bdba5b2e51bafa3a1575faa89aeb7c071ce659035626e5db38106fe730f7f"),
     ],
-    ids=["sample-wigner-csv", "sample-d3-json", "eval-d1-cdf"],
+    ids=["sample-wigner-csv", "sample-d3-json", "eval-d1-cdf",
+         "sample-d1-json", "eval-d3-json", "msd-d3-csv", "msd-d3-json"],
 )
 def test_pinned_output_bytes(tmp_path, argv, digest):
     # SHA-256 of outputs written by the code before the incomplete beta
-    # moved to its scalar-(a, b) core: the draws (inverse incomplete beta)
-    # and the d = 1 cdf column (forward) must keep every byte
+    # moved to its scalar-(a, b) core (the first three) and before the
+    # numeric tables were formatted a chunk at a time (the rest): the
+    # draws (inverse incomplete beta), the d = 1 cdf column (forward) and
+    # every formatted cell must keep every byte
     target = tmp_path / "out"
     assert main([*argv, "--output", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

@@ -226,3 +226,20 @@ class TestFbeResidual:
     def test_excluded_order_rejected_upstream(self):
         with pytest.raises(ValueError):
             fractional_preset(0.25)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: rl_power_rule(1.0, 0.5, t),
+        lambda t: fractional_solution(fractional_preset(0.2), 0.0, t),
+        lambda t: fbe_residual(fractional_preset(0.2), 0.0, t),
+    ],
+    ids=["rl_power_rule", "fractional_solution", "fbe_residual"],
+)
+def test_time_must_be_finite_and_positive(call, t):
+    # t = inf used to pass the t > 0 test: rl_power_rule returned inf and
+    # fractional_solution 0.0, both without a word
+    with pytest.raises(ValueError, match="finite and > 0"):
+        call(t)

@@ -508,8 +508,27 @@ class TestIntegrate:
 
     def test_subdivision_cap(self, monkeypatch):
         monkeypatch.setattr(specfun, "_MAX_SUBDIVISIONS", 3)
-        with pytest.raises(QuadratureError, match="3 subdivisions exhausted"):
+        with pytest.raises(QuadratureError, match="3 subdivisions exhausted") as exc:
             integrate(lambda x: np.cos(40.0 * x), 0.0, 1.0)
+        assert "on [0.0, 1.0] (error estimate" in str(exc.value)
+        # a vector integrand also names its worst open column: cos(40 x)
+        k = np.array([0.0, 3.0, 40.0, 5.0])
+        with pytest.raises(QuadratureError, match="3 subdivisions exhausted") as exc:
+            integrate(lambda x: np.cos(np.multiply.outer(x, k)), 1.0, -2.0)
+        assert "on [-2.0, 1.0] (column 2, error estimate" in str(exc.value)
+
+    def test_unattainable_tolerance_names_interval_and_column(self):
+        # a 1e20 step inside an interval narrower than the floating-point
+        # width: no panel can be bisected and K15 - G7 stays near 1e5
+        lo, hi = 0.5, 0.5 + 1e-14
+        step = lambda x: 1e20 * (x > lo + 5e-15)
+        where = f"tolerance unattainable on [{lo!r}, {hi!r}]: all panels at floating-point width"
+        with pytest.raises(QuadratureError) as exc:
+            integrate(step, lo, hi)
+        assert str(exc.value).startswith(where + " (error estimate")
+        with pytest.raises(QuadratureError) as exc:
+            integrate(lambda x: np.stack([x, 2.0 * step(x), step(x)], axis=1), lo, hi)
+        assert str(exc.value).startswith(where + " (column 1, error estimate")
 
 
 

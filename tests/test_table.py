@@ -5,8 +5,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
+from barenblatt import _table
 from barenblatt._table import CHUNK_ROWS, table_chunks, write_table
 
 HEADER = ["x", "a,b", 'say "q"', "100%s ü"]
@@ -89,3 +91,76 @@ def test_write_table_keeps_line_ends(tmp_path):
     write_table(str(target), HEADER, rows)
     with open(target, newline="") as fh:
         assert fh.read() == csv_reference(HEADER, rows)
+
+
+# float64 arrays take the chunk-at-a-time path; the same rows as Python
+# floats give the reference bytes
+FLOAT_HEADER = ['50%s "a,b"', "y", "%d"]
+FLOATS = [5e-324, 1e308, -0.0, 1e16, 1e-5, 0.1, 1 / 3, 0.0, -2.5e-300, 123456789.125]
+
+
+def float_array(n, m, non_finite=False):
+    a = np.array([FLOATS[i % len(FLOATS)] for i in range(n * m)]).reshape(n, m)
+    if non_finite:
+        # NaN and both infinities, all in the second chunk (or the only one)
+        start = CHUNK_ROWS * m if n > CHUNK_ROWS else 0
+        spots = a.reshape(-1)[start : start + 3]
+        spots[:] = [math.nan, math.inf, -math.inf][: spots.size]
+    return a
+
+
+ARRAY_CASES = [
+    pytest.param(n, m, nf, id=f"{size}-{m}col{'-nonfinite' if nf else ''}")
+    for size, n in SIZES.items()
+    for m in (1, 3)
+    for nf in (False, True)
+]
+
+
+@pytest.mark.parametrize("n, m, non_finite", ARRAY_CASES)
+def test_float_array_csv_matches_reference(n, m, non_finite):
+    a = float_array(n, m, non_finite)
+    header = FLOAT_HEADER[:m]
+    got = "".join(table_chunks(header, a))
+    assert lines(got) == lines(csv_reference(header, a.tolist()))
+
+
+@pytest.mark.parametrize("n, m, non_finite", ARRAY_CASES)
+def test_float_array_json_matches_reference(n, m, non_finite):
+    a = float_array(n, m, non_finite)
+    header = FLOAT_HEADER[:m]
+    got = "".join(table_chunks(header, a, "json"))
+    assert lines(got) == lines(json_reference(header, a.tolist()))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", list(SIZES.values()), ids=list(SIZES))
+def test_float_array_chunk_count_equals_list_input(fmt, n):
+    a = float_array(n, 3, non_finite=True)
+    assert len(list(table_chunks(FLOAT_HEADER, a, fmt))) == len(
+        list(table_chunks(FLOAT_HEADER, a.tolist(), fmt))
+    )
+
+
+def test_float_array_cells_skip_per_cell_formatting(monkeypatch):
+    # only a JSON chunk that holds a non-finite value goes cell by cell;
+    # CSV formats only its header through _fmt
+    calls = {"fmt": 0, "json": 0}
+    fmt, json_value = _table._fmt, _table._json_value
+
+    def fmt_counted(x):
+        calls["fmt"] += 1
+        return fmt(x)
+
+    def json_counted(x):
+        calls["json"] += 1
+        return json_value(x)
+
+    monkeypatch.setattr(_table, "_fmt", fmt_counted)
+    monkeypatch.setattr(_table, "_json_value", json_counted)
+    n = 2 * CHUNK_ROWS + 3
+    "".join(table_chunks(FLOAT_HEADER, float_array(n, 3)))
+    "".join(table_chunks(FLOAT_HEADER, float_array(n, 3), "json"))
+    assert calls == {"fmt": 3, "json": 0}
+    "".join(table_chunks(FLOAT_HEADER, float_array(n, 3, non_finite=True), "json"))
+    assert calls == {"fmt": 3, "json": 3 * CHUNK_ROWS}
