@@ -74,7 +74,7 @@ def table_chunks(header, rows, fmt: str = "csv"):
                 text = ",\n".join(obj % tuple(map(_json_value, r)) for r in chunk)
             yield sep + text
             sep = ",\n"
-        yield "\n]\n"
+        yield "\n]\n" if sep == ",\n" else "[\n]\n"
     else:
         yield _csv_text([header])
         if floats:

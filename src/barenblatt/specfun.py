@@ -14,6 +14,7 @@ and b and broadcast over their first argument.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -471,7 +472,13 @@ def ln_sphere(d) -> float:
     """ln of the surface measure of the unit sphere in R^d."""
     if int(d) != d or int(d) < 1:
         raise ValueError("sphere measure requires an integer dimension d >= 1")
-    return math.log(2.0) + 0.5 * int(d) * math.log(math.pi) - ln_gamma(0.5 * int(d))
+    return _ln_sphere(int(d))
+
+
+# one entry per dimension ever asked for; every density evaluation needs it
+@functools.cache
+def _ln_sphere(d: int) -> float:
+    return math.log(2.0) + 0.5 * d * math.log(math.pi) - ln_gamma(0.5 * d)
 
 
 def sphere_surface(d) -> float:

@@ -358,7 +358,7 @@ class TestSphereSurface:
     def test_known_dimensions(self, d, expected):
         assert sphere_surface(d) == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("bad", [0, -1, 2.5])
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, pytest.param(np.float64(2.5), id="float64-2.5")])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             sphere_surface(bad)
@@ -368,6 +368,16 @@ class TestSphereSurface:
     @pytest.mark.parametrize("d", [1, 2, 3, 7, 12, 40])
     def test_log_form(self, d):
         assert ln_sphere(d) == pytest.approx(math.log(sphere_surface(d)), rel=1e-14, abs=1e-15)
+
+    def test_integer_spellings_agree(self):
+        assert ln_sphere(np.int64(3)) == ln_sphere(3.0) == ln_sphere(3)
+        assert type(ln_sphere(np.int64(3))) is float
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 40])
+    def test_bit_equal_to_closed_form(self, d):
+        # the cached value is the uncached expression, bit for bit
+        want = math.log(2.0) + 0.5 * d * math.log(math.pi) - ln_gamma(0.5 * d)
+        assert ln_sphere(d) == want
 
 
 class TestLnBeta:

@@ -164,3 +164,13 @@ def test_float_array_cells_skip_per_cell_formatting(monkeypatch):
     assert calls == {"fmt": 3, "json": 0}
     "".join(table_chunks(FLOAT_HEADER, float_array(n, 3, non_finite=True), "json"))
     assert calls == {"fmt": 3, "json": 3 * CHUNK_ROWS}
+
+
+EMPTY_ROWS = {"list": [], "array": np.empty((0, 3))}
+
+
+@pytest.mark.parametrize("rows", list(EMPTY_ROWS.values()), ids=list(EMPTY_ROWS))
+def test_empty_table(rows):
+    # JSON is still an array; CSV is the header line alone
+    assert json.loads("".join(table_chunks(FLOAT_HEADER, rows, "json"))) == []
+    assert "".join(table_chunks(FLOAT_HEADER, rows)) == csv_reference(FLOAT_HEADER, [])

@@ -6,17 +6,25 @@ residual machinery is probed directly.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from barenblatt import family as fam_mod
+from barenblatt import presets as preset_mod
+from barenblatt.family import new_family, pdf, radial_pdf, support_radius
+from barenblatt.specfun import integrate
 from barenblatt.verify import (
+    _GRID_MEMBERS,
+    _MASS_GRID,
     CheckResult,
     ResidualReport,
     SuiteReport,
     _order_estimate,
+    _quad_masses,
     _two_sample_ks,
     epd_residual,
     epd_type_wave_residual,
@@ -128,6 +136,71 @@ class TestTwoSampleKs:
         assert abs(_two_sample_ks([1.0, 3.0], [2.0, 4.0]) - 0.5) < 1e-15
 
 
+class TestQuadMasses:
+    # the per-member scalar route the vector quadrature replaced
+    @staticmethod
+    def scalar_mass(fam, t):
+        return integrate(lambda r: radial_pdf(fam, r, t), 0.0, support_radius(fam, t))
+
+    def test_grid_agrees_with_scalar_route(self):
+        fams = [new_family(*m) for m in _MASS_GRID]
+        masses = _quad_masses(fams, 1.3)
+        assert masses.shape == (576,)
+        scalar = np.array([self.scalar_mass(fam, 1.3) for fam in fams])
+        # each route stops at an estimated error of 1e-11
+        assert np.max(np.abs(masses - scalar)) <= 2e-11
+
+    def test_one_wrong_member_shows_in_its_column_only(self):
+        fams = [new_family(*m) for m in _MASS_GRID]
+        k = 137
+        fams[k] = dataclasses.replace(fams[k], norm_c=fams[k].norm_c * (1.0 + 1e-7))
+        dev = _quad_masses(fams, 1.3) - 1.0
+        assert abs(dev[k] - 1e-7) <= 1e-11
+        assert np.max(np.abs(np.delete(dev, k))) <= 1e-11
+        # family-mass-grid's test, which this grid fails
+        assert np.max(np.abs(dev)) > 1e-8
+
+    def test_single_member(self):
+        fam = preset_mod.wigner_preset()
+        (mass,) = _quad_masses([fam], 1.0)
+        assert abs(mass - self.scalar_mass(fam, 1.0)) <= 2e-11
+
+
+def _check(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+class TestVectorQuadratureChecks:
+    """Check values against the per-point scalar quadrature they replaced."""
+
+    def test_cdf_oracle(self):
+        worst = 0.0
+        for member in _GRID_MEMBERS:
+            fam = new_family(*member)
+            if fam.beta_exp == 1.0:
+                continue
+            rt = support_radius(fam, 1.1)
+            for x in np.linspace(-0.9, 0.9, 7) * rt:
+                oracle = 0.5 + integrate(lambda y: pdf(fam, y, 1.1), 0.0, x)
+                worst = max(worst, abs(fam_mod.cdf_1d(fam, x, 1.1) - oracle))
+        check = _check(run_suite("representations"), "cdf-argument-form-adjudication")
+        assert check.passed
+        assert abs(check.value - worst) <= 1e-12
+
+    def test_catalan_moments(self):
+        wig = preset_mod.wigner_preset()
+        worst = 0.0
+        for t in (0.5, 1.0, 2.0):
+            r = support_radius(wig, t)
+            for m in range(6):
+                mom = integrate(lambda x: x ** (2 * m) * pdf(wig, x, t), -r, r)
+                want = preset_mod.catalan(m) * t**m
+                worst = max(worst, abs(mom - want) / want)
+        check = _check(run_suite("presets"), "wigner-catalan-moments")
+        assert check.passed
+        assert abs(check.value - worst) <= 1e-12
+
+
 class TestRunSuite:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
@@ -147,6 +220,7 @@ class TestRunSuite:
         grid = next(c for c in rep.checks if c.name == "family-mass-grid")
         assert grid.value <= 1e-8
         assert "576" in grid.detail
+        assert "t = 1.3" in grid.detail
 
     def test_transforms_suite_passes(self):
         rep = run_suite("transforms")
