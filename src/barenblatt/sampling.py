@@ -363,8 +363,8 @@ def sample_epd_telegraph(rng: RngStream, xi, c, t, eps, size=None):
     c = float(c)
     t = float(t)
     eps = float(eps)
-    if xi <= 0.0 or c <= 0.0 or t <= 0.0:
-        raise ValueError("sample_epd_telegraph requires xi, c, t > 0")
+    if not all(0.0 < v < math.inf for v in (xi, c, t)):
+        raise ValueError(f"sample_epd_telegraph requires finite xi, c, t > 0, got {xi}, {c}, {t}")
     if not (0.0 < eps < t):
         raise ValueError(f"eps must lie in (0, t), got eps={eps}, t={t}")
     n = 1 if size is None else int(size)

@@ -191,7 +191,7 @@ def _mean_cos_projection(d: int, a):
 
     With w = sin(theta):  (2/B(1/2,(d-1)/2)) int_0^{pi/2} cos(a sin theta)
     cos^{d-2} theta d theta, on a fixed 64-node Gauss rule, vectorized over
-    a.  Adequate to ~1e-12 for the |a| <= 60 range used here.
+    a.  Adequate to ~1e-12 for |a| <= 60, which char_fn_projection enforces.
     """
     a = np.asarray(a, dtype=float)
     weights = _GL64_SCALE * np.cos(_GL64_THETA) ** (d - 2)
@@ -211,13 +211,16 @@ def char_fn_projection(p: FamilyParams, xi_norm, t):
     projection factor:  E[cos(|xi| U W t^alpha)].  Independent route from
     char_fn_radial; their agreement is the computable content of the
     product representation.  xi_norm may be an array (one vector
-    quadrature): scalar in, float out.
+    quadrature): scalar in, float out.  c |xi| t^alpha > 60 raises.
     """
     _require_dim(p, want_1d=False)
     t = _check_time(t)
 
     def cf(xi):
         scale = xi * t**p.alpha
+        a_max = p.c * float(np.max(scale))
+        if a_max > 60.0:
+            raise ValueError(f"char_fn_projection needs c |xi| t^alpha <= 60, got {a_max:.6g}")
         return integrate(
             lambda v: radial_pdf(p, v, 1.0)[:, None]
             * _mean_cos_projection(p.d, np.multiply.outer(v, scale)),

@@ -339,14 +339,33 @@ def test_fractional_suite():
 
 
 def test_telegraph_representation(sampling_report):
-    dist = _suite_check(sampling_report, "telegraph-vs-position-sampler")
-    mono = _suite_check(sampling_report, "telegraph-eps-monotone")
+    law = _suite_check(sampling_report, "telegraph-exact-law")
     path = _suite_check(sampling_report, "telegraph-eps-pathwise")
     _record(
         "telegraph-representation",
-        dist.passed and dist.value <= 0.02 and mono.passed and path.passed,
-        f"two-sample KS {dist.value:.4f} at eps = 1e-6; {mono.detail}; "
+        law.passed and path.passed,
+        f"{law.detail}; worst {law.value:.6f} of {law.tolerance:.6f}; "
         f"pathwise gap {path.value:.6f} of c |eps - eps'|",
+    )
+
+
+def test_telegraph_exact_law_rejects_wrong_xi(monkeypatch):
+    # a sampler drawing at xi + 0.1 keeps its paths coupled across eps, so
+    # only the check against the exact law can see the wrong parameter
+    right = samp_mod.sample_epd_telegraph
+    monkeypatch.setattr(
+        samp_mod,
+        "sample_epd_telegraph",
+        lambda rng, xi, c, t, eps, size=None: right(rng, xi + 0.1, c, t, eps, size),
+    )
+    report = run_suite("sampling", threads=2)
+    law = _suite_check(report, "telegraph-exact-law")
+    path = _suite_check(report, "telegraph-eps-pathwise")
+    _record(
+        "telegraph-law-power",
+        not law.passed and path.passed,
+        f"sampler at xi = 2.1: worst {law.value:.6f} against {law.tolerance:.6f}; "
+        "pathwise bound still holds",
     )
 
 

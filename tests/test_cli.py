@@ -592,9 +592,11 @@ FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]
         ["sample", "--preset", "wigner", "--n", "3", "--seed", "7", "--stream", "-1"],
         ["sample", "--preset", "wigner", "--n", "3", "--seed", "7", "--stream", str(2**64)],
         ["verify", "presets", "--seed", "-1"],
+        ["ft", *FAMILY_FLAGS, "--d", "2", "--kind", "projection", "--grid", "0:200:5"],
     ],
     ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308",
-         "seed-negative", "seed-2**64", "stream-negative", "stream-2**64", "verify-seed-negative"],
+         "seed-negative", "seed-2**64", "stream-negative", "stream-2**64", "verify-seed-negative",
+         "projection-beyond-rule"],
 )
 def test_usage_error_exits_two(argv):
     # refused input: exit 2, one error line, nothing on stdout, no traceback
@@ -717,9 +719,9 @@ def test_telegraph_eps_sweep_script():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    header = lines.index("eps,ks_to_cdf,ks_two_sample,n,xi,t,seed")
+    header = lines.index("eps,ks_to_cdf,n,xi,t,seed")
     rows = list(csv.reader(lines[header + 1 :]))
     assert [float(r[0]) for r in rows] == [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
     for r in rows:
-        assert 0.0 < float(r[1]) < 1.0 and 0.0 <= float(r[2]) < 1.0
-        assert r[3] == "2000"
+        assert 0.0 < float(r[1]) < 1.0
+        assert r[2] == "2000"

@@ -297,6 +297,12 @@ class TestTelegraph:
             sample_epd_telegraph(RngStream(SEED), 2.0, 1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             sample_epd_telegraph(RngStream(SEED), -1.0, 1.0, 1.0, 1e-3)
+        # non-finite parameters: xi = inf never ended, the rest returned
+        # nan or inf without an error
+        for xi, c, t in [(math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0), (2.0, math.nan, 1.0),
+                         (2.0, math.inf, 1.0), (2.0, 1.0, math.inf), (2.0, 1.0, math.nan)]:
+            with pytest.raises(ValueError, match="finite xi, c, t > 0"):
+                sample_epd_telegraph(RngStream(SEED), xi, c, t, 1e-3, 4)
         rng = RngStream(SEED)
         with pytest.raises(ValueError):
             sample_epd_telegraph(rng, 2.0, 1.0, 1.0, 1e-3, -3)

@@ -228,6 +228,24 @@ class TestCharFnProjection:
         with pytest.raises(ValueError):
             char_fn_projection(wigner(), 1.0, 1.0)
 
+    def test_closed_form_up_to_rule_reach(self):
+        # beta = 2: Gamma(nu+1) (2/s)^nu J_nu(s), s = |xi| c t^alpha,
+        # nu = d/2 + gamma = 2; the grid ends at s = 60, the largest accepted
+        p = new_family(0.5, 2.0, 1.0, 1.5, 2)
+        xi = np.linspace(0.0, 40.0, 81)
+        got = char_fn_projection(p, xi, 1.0)
+        s = 1.5 * xi[1:]
+        want = 2.0 * (2.0 / s) ** 2 * special.jv(2.0, s)
+        assert got[0] == 1.0
+        assert np.max(np.abs(got[1:] - want)) <= 1e-12
+
+    def test_refuses_beyond_rule_reach(self):
+        # the 64-node projection rule is off by 2e-4 at s = 300
+        p = new_family(0.5, 2.0, 1.0, 1.5, 2)
+        for xi, t in [(np.array([1.0, 40.5]), 1.0), (200.0, 1.0), (36.0, 1.3)]:
+            with pytest.raises(ValueError, match=r"needs c \|xi\| t\^alpha <= 60"):
+                char_fn_projection(p, xi, t)
+
 
 class TestEKParams:
     def test_validation(self):

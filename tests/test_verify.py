@@ -25,7 +25,6 @@ from barenblatt.verify import (
     SuiteReport,
     _order_estimate,
     _quad_masses,
-    _two_sample_ks,
     epd_residual,
     epd_type_wave_residual,
     pme_residual,
@@ -121,19 +120,6 @@ class TestWaveResidual:
             epd_type_wave_residual(0.0, 1.0)
         with pytest.raises(ValueError):
             epd_type_wave_residual(0.5, -1.0)
-
-
-class TestTwoSampleKs:
-    def test_identical_samples(self):
-        x = np.linspace(0.0, 1.0, 50)
-        assert _two_sample_ks(x, x) == 0.0
-
-    def test_disjoint_samples(self):
-        assert _two_sample_ks([0.0, 1.0], [5.0, 6.0]) == 1.0
-
-    def test_known_small_case(self):
-        # F_a jumps at 1, 3; F_b jumps at 2, 4; max gap is 1/2
-        assert abs(_two_sample_ks([1.0, 3.0], [2.0, 4.0]) - 0.5) < 1e-15
 
 
 class TestQuadMasses:
