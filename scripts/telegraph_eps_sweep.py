@@ -37,16 +37,20 @@ def main(argv=None) -> int:
     if args.xi <= 1.0:
         ap.error("--xi must be > 1 (gamma = xi - 1 must stay positive)")
 
-    fam = new_family(1.0, 2.0, args.xi - 1.0, 1.0, 1)
-
     rows = []
-    for eps in sorted(args.eps, reverse=True):
-        tele = sample_epd_telegraph(
-            RngStream(args.seed, 0), args.xi, 1.0, args.t, eps, args.n
-        )
-        d_law = ks_test(tele, lambda x: cdf_1d(fam, x, args.t)).statistic
-        rows.append((eps, d_law, args.n, args.xi, args.t, args.seed))
-        print(f"eps={eps:8.1e}  ks_to_cdf={d_law:.6f}")
+    try:
+        fam = new_family(1.0, 2.0, args.xi - 1.0, 1.0, 1)
+        for eps in sorted(args.eps, reverse=True):
+            tele = sample_epd_telegraph(
+                RngStream(args.seed, 0), args.xi, 1.0, args.t, eps, args.n
+            )
+            d_law = ks_test(tele, lambda x: cdf_1d(fam, x, args.t)).statistic
+            rows.append((eps, d_law, args.n, args.xi, args.t, args.seed))
+            print(f"eps={eps:8.1e}  ks_to_cdf={d_law:.6f}")
+    except ValueError as exc:
+        # a value the library refuses is a usage error, as in the CLI
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
     header = ["eps", "ks_to_cdf", "n", "xi", "t", "seed"]
     if args.out:

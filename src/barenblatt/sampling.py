@@ -3,8 +3,9 @@
 Randomness comes from Philox4x64 (counter-based) keyed by (seed,
 stream_id): the same key reproduces the same sequence on any platform and
 any thread layout.  All beta-distributed quantities are sampled by inverse
-CDF through inv_reg_inc_beta - slower than gamma-ratio tricks but exactly
-reproducible and backed by the tested inverse routine.
+CDF through inv_reg_inc_beta (Halley steps from a forward-table seed, about
+two incomplete-beta evaluations per variate) - slower than gamma-ratio
+tricks but exactly reproducible and backed by the tested inverse routine.
 
 Draw-order contracts (these make reruns byte-identical, so they are part
 of the interface and must not be reordered):

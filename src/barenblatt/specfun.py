@@ -1,15 +1,17 @@
 """Special functions and adaptive quadrature, self-contained on numpy.
 
 Provides log-gamma (Lanczos), ln B (Stirling differences for large
-arguments), the regularized incomplete beta function and its inverse,
-Bessel J of real nonnegative order, the surface measure of the unit sphere,
+arguments), the regularized incomplete beta function and its inverse
+(Halley steps from a seed interpolated in a forward table), Bessel J of
+real nonnegative order, the surface measure of the unit sphere,
 and a globally adaptive integrator on the nested Gauss-Kronrod 7/15 rule
 (15 integrand evaluations per panel give both the value and the error
 estimate).  The integrator takes vector integrands: m columns share one
 mesh, each column meets its own tolerance, and every refinement pass is
 one integrand call.  Scalar inputs come back as Python floats, array inputs
-broadcast elementwise.  The incomplete beta and its inverse take scalar a
-and b and broadcast over their first argument.
+broadcast elementwise; ln Gamma and ln B of scalars run the same formulas
+on numpy scalars, with the array path's bits.  The incomplete beta and its
+inverse take scalar a and b and broadcast over their first argument.
 """
 
 from __future__ import annotations
@@ -59,33 +61,47 @@ _LANCZOS_COEF = (
 _LN_SQRT_2PI = 0.9189385332046727418
 
 
+# These run on arrays and on np.float64 scalars alike: numpy's scalar ufuncs
+# give the array loop's bits, where math.log1p and friends need not.
+
+
 def _ln_gamma_right(x):
     # Lanczos core, valid for x >= 0.5.
     z = x - 1.0
-    series = np.full_like(z, _LANCZOS_COEF[0])
+    series = _LANCZOS_COEF[0]
     for i in range(1, len(_LANCZOS_COEF)):
         series = series + _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
     return _LN_SQRT_2PI + (z + 0.5) * np.log(t) - t + np.log(series)
 
 
+def _ln_gamma_reflected(x):
+    # x < 0.5; sin(pi x) > 0 on (0, 1/2) so no sign to track here
+    return math.log(math.pi) - np.log(np.sin(math.pi * x)) - _ln_gamma_right(1.0 - x)
+
+
+def _ln_gamma_scalar(x):
+    return _ln_gamma_reflected(x) if x < 0.5 else _ln_gamma_right(x)
+
+
 def ln_gamma(x):
     """ln Gamma(x) for x > 0.  Broadcasts; scalar in, float out."""
-    arr, scalar, shape = _as_1d(x)
+    if np.ndim(x) == 0:
+        x = np.float64(x)
+        if not (np.isfinite(x) and x > 0.0):
+            raise ValueError("ln_gamma requires finite x > 0")
+        return float(_ln_gamma_scalar(x))
+    arr, _, shape = _as_1d(x)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError("ln_gamma requires finite x > 0")
     out = np.empty_like(arr)
     small = arr < 0.5
     if np.any(small):
-        xs = arr[small]
-        # reflection; sin(pi x) > 0 on (0, 1/2) so no sign to track here
-        out[small] = (
-            math.log(math.pi) - np.log(np.sin(math.pi * xs)) - _ln_gamma_right(1.0 - xs)
-        )
+        out[small] = _ln_gamma_reflected(arr[small])
     big = ~small
     if np.any(big):
         out[big] = _ln_gamma_right(arr[big])
-    return float(out[0]) if scalar else out.reshape(shape)
+    return out.reshape(shape)
 
 
 def _ln_gamma_signed(x: float) -> tuple[float, float]:
@@ -133,22 +149,32 @@ def ln_beta(a, b):
     ln Gamma(max) - ln Gamma(a + b) comes from a Stirling difference
     instead (DiDonato & Morris, ACM TOMS 708, 1992: algdiv).
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    scalar = a.ndim == 0
-    lo = np.atleast_1d(np.minimum(a, b)).ravel()
-    hi = np.atleast_1d(np.maximum(a, b)).ravel()
+    lo = np.minimum(a, b, dtype=float)
+    hi = np.maximum(a, b, dtype=float)
     if not (np.all(lo > 0.0) and np.all(np.isfinite(hi))):
         raise ValueError("ln_beta requires finite a > 0 and b > 0")
-    s = lo + hi
+    if lo.ndim == 0:
+        g = _ln_gamma_scalar
+        if hi < _LN_BETA_STIRLING_MIN:
+            return float(g(lo) + g(hi) - g(lo + hi))
+        return float(_ln_beta_far(g(lo), lo, hi))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
     out = np.empty_like(lo)
     near = hi < _LN_BETA_STIRLING_MIN
-    out[near] = ln_gamma(lo[near]) + ln_gamma(hi[near]) - ln_gamma(s[near])
-    # far: ln Gamma(hi) - ln Gamma(s) as a Stirling difference (algdiv)
-    l, h, t = lo[~near], hi[~near], s[~near]
-    out[~near] = ln_gamma(l) + (_stirling_delta(h) - _stirling_delta(t)) - (
-        (t - 0.5) * np.log1p(l / h) + l * (np.log(h) - 1.0)
+    l, h = lo[near], hi[near]
+    out[near] = ln_gamma(l) + ln_gamma(h) - ln_gamma(l + h)
+    l, h = lo[~near], hi[~near]
+    out[~near] = _ln_beta_far(ln_gamma(l), l, h)
+    return out.reshape(shape)
+
+
+def _ln_beta_far(ln_gamma_lo, lo, hi):
+    # ln Gamma(hi) - ln Gamma(lo + hi) as a Stirling difference (algdiv)
+    s = lo + hi
+    return ln_gamma_lo + (_stirling_delta(hi) - _stirling_delta(s)) - (
+        (s - 0.5) * np.log1p(lo / hi) + lo * (np.log(hi) - 1.0)
     )
-    return float(out[0]) if scalar else out.reshape(a.shape)
 
 
 def beta_fn(a, b):
@@ -281,41 +307,68 @@ def reg_inc_beta(x, a, b):
     return _at_pair(_reg_inc_beta_pair, "reg_inc_beta", "x", x, a, b)
 
 
-def _inv_beta_seed(p, a, b):
-    """Starting guess for the inverse incomplete beta.
-
-    For a, b > 1 the Abramowitz-Stegun 26.5.22 normal expansion; otherwise
-    matched power-law tails at both endpoints.  a and b are lane arrays
-    like p: the seed's bytes depend on the array form of its exponents.
-    """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pp = np.where(p < 0.5, p, 1.0 - p)
-        t = np.sqrt(-2.0 * np.log(pp))
-        y = t - (2.30753 + 0.27061 * t) / (1.0 + (0.99229 + 0.04481 * t) * t)
-        y = np.where(p < 0.5, -y, y)
-        lam = (y * y - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = y * np.sqrt(lam + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (
-            lam + 5.0 / 6.0 - 2.0 / (3.0 * h)
-        )
-        x_norm = a / (a + b * np.exp(2.0 * w))
-        lna = np.log(a / (a + b))
-        lnb = np.log(b / (a + b))
-        tt = np.exp(a * lna) / a
-        uu = np.exp(b * lnb) / b
-        ww = tt + uu
-        x_tail = np.where(
-            p < tt / ww,
-            np.power(a * ww * p, 1.0 / a),
-            1.0 - np.power(b * ww * (1.0 - p), 1.0 / b),
-        )
-        x0 = np.where((a > 1.0) & (b > 1.0), x_norm, x_tail)
-    x0 = np.where(np.isfinite(x0), x0, 0.5)
-    return np.clip(x0, 1e-300, 1.0 - 1e-16)
-
-
+# The seed table: _INV_BETA_NODES nodes uniform in logit x, from where the
+# lower tail asymptote x^a/(a B) reaches _INV_BETA_TAIL to where the upper
+# one, 1 - (1-x)^b/(b B), comes within it of 1
+_INV_BETA_NODES = 129
+_INV_BETA_TAIL = 1e-18
 _INV_BETA_MAX_NEWTON = 100
 _INV_BETA_TOL = 1e-13
+_LOGIT_ONE = math.log(2.0**53 - 1.0)  # logit of the largest float below 1
+
+
+def _logit(v):
+    return np.log(v) - np.log1p(-v)
+
+
+def _inv_beta_table_seed(p, a, b, ln_b):
+    """(start, bracket low, bracket high) for the lanes p, from one
+    reg_inc_beta table.  Between the two nodes that bracket it, a lane
+    takes the cubic Hermite interpolant of logit x against logit I_x, a
+    plane in which both tails are asymptotically straight, with the slopes
+    the density gives; beyond the table's ends it starts from the
+    power-law asymptote.  Nodes whose I_x rounds to 0 or 1 are dropped."""
+    # ln x and ln(1 - x) where the tail asymptotes reach _INV_BETA_TAIL,
+    # capped so the two ends stay ordered, x stays a normal float and 1 - x
+    # stays at least the ulp of 1
+    ln_lo = min((math.log(_INV_BETA_TAIL * a) + ln_b) / a, math.log(0.5))
+    ln_hi = min((math.log(_INV_BETA_TAIL * b) + ln_b) / b, math.log(0.5))
+    z = np.linspace(
+        max(ln_lo - math.log1p(-math.exp(ln_lo)), -700.0),
+        min(math.log1p(-math.exp(ln_hi)) - ln_hi, _LOGIT_ONE),
+        _INV_BETA_NODES,
+    )
+    x = 1.0 / (1.0 + np.exp(-z))
+    # through the module global, so a wrapper installed on reg_inc_beta
+    # counts the table too
+    i_x = reg_inc_beta(x, a, b)
+    keep = (i_x > 0.0) & (i_x < 1.0)
+    i_x, x, z = i_x[keep], x[keep], z[keep]
+    # I at node j - 1 <= p < I at node j
+    j = np.searchsorted(i_x, p, side="right")
+    ends = np.concatenate(([0.0], x, [1.0]))
+    lo, hi = ends[j], ends[j + 1]
+    x0 = np.empty_like(p)
+    with np.errstate(all="ignore"):
+        below, above = j == 0, j == i_x.size
+        x0[below] = np.exp((np.log(p[below] * a) + ln_b) / a)
+        x0[above] = -np.expm1((np.log1p(-p[above]) + math.log(b) + ln_b) / b)
+        # per interval: its left end u and width h in logit I, and the
+        # cubic's coefficients in t = (logit p - u)/h; the end slopes are
+        # d logit x / d logit I = I (1 - I) B / (x^a (1 - x)^b), times h
+        u = _logit(i_x)
+        h = np.diff(u)
+        slope = np.exp(np.log(i_x) + np.log1p(-i_x) + ln_b - a * np.log(x) - b * np.log1p(-x))
+        s0, s1 = slope[:-1] * h, slope[1:] * h
+        dz = np.diff(z)
+        coef = np.array([u[:-1], h, z[:-1], s0, 3.0 * dz - 2.0 * s0 - s1, s0 + s1 - 2.0 * dz])
+        inside = ~(below | above)
+        u0, h, z0, c1, c2, c3 = coef[:, j[inside] - 1]
+        t = (_logit(p[inside]) - u0) / h
+        x0[inside] = 1.0 / (1.0 + np.exp(-(z0 + t * (c1 + t * (c2 + t * c3)))))
+    # a start outside its bracket, or NaN, moves to the bracket's end
+    x0 = np.fmin(np.fmax(x0, lo), hi)
+    return np.clip(x0, 1e-300, 1.0 - 1e-16), lo, hi
 
 
 def _inv_reg_inc_beta_pair(p, a, b):
@@ -323,17 +376,16 @@ def _inv_reg_inc_beta_pair(p, a, b):
     idx = np.flatnonzero((p > 0.0) & (p < 1.0))
     if idx.size == 0:
         return out
+    ln_b = ln_beta(a, b)
     # rows xs, pc, xlo, xhi of the lanes still open; one take() drops the
     # converged columns from all four
-    work = np.zeros((4, idx.size))
+    work = np.empty((4, idx.size))
     xs, pc, xlo, xhi = work
     pc[:] = p[idx]
-    xs[:] = _inv_beta_seed(pc, np.full(idx.size, a), np.full(idx.size, b))
-    xhi[:] = 1.0
-    ln_b = ln_beta(a, b)
+    xs[:], xlo[:], xhi[:] = _inv_beta_table_seed(pc, a, b, ln_b)
     for _ in range(_INV_BETA_MAX_NEWTON):
         # through the module global, so a wrapper installed on
-        # reg_inc_beta sees every Newton step
+        # reg_inc_beta sees every step
         r = reg_inc_beta(xs, a, b) - pc
         pinched = (xhi - xlo) <= np.spacing(np.maximum(xhi, 1e-300))
         conv = (np.abs(r) <= _INV_BETA_TOL) | pinched
@@ -346,16 +398,29 @@ def _inv_reg_inc_beta_pair(p, a, b):
             idx, r = idx[live], r[live]
             work = work.take(live, axis=1)
             xs, pc, xlo, xhi = work
-        np.minimum(xhi, xs, out=xhi, where=r > 0.0)
-        np.maximum(xlo, xs, out=xlo, where=r <= 0.0)
+        high = r > 0.0
+        np.minimum(xhi, xs, out=xhi, where=high)
+        np.maximum(xlo, xs, out=xlo, where=~high)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ln_pdf = (a - 1.0) * np.log(xs) + (b - 1.0) * np.log1p(-xs) - ln_b
-            step = r * np.exp(-ln_pdf)
-            xn = xs - step
+            # Newton step r / f' with f' the Beta(a, b) density, in place in
+            # r; Halley divides it by 1 - step f''/(2 f'), with
+            # f''/f' = (a - 1)/x - (b - 1)/(1 - x) and step f''/f' clipped
+            # to [-1, 1]
+            r *= np.exp(ln_b - (a - 1.0) * np.log(xs) - (b - 1.0) * np.log1p(-xs))
+            corr = (a - 1.0) / xs - (b - 1.0) / (1.0 - xs)
+            corr *= r
+            np.clip(corr, -1.0, 1.0, out=corr)
+            r /= 1.0 - 0.5 * corr
+            xn = np.subtract(xs, r, out=r)
+        stuck = xn == xs
+        if stuck.any():
+            # a step below half an ulp moves one ulp toward the root, so
+            # the bracket can pinch where the residual cannot reach 1e-13
+            xn[stuck] = np.nextafter(xs[stuck], np.where(high[stuck], 0.0, 1.0))
         off = ~np.isfinite(xn) | (xn <= xlo) | (xn >= xhi)
         np.copyto(xn, 0.5 * (xlo + xhi), where=off)
         xs[:] = xn
-    # lanes that ran out of Newton budget: accept if close, else fail
+    # lanes that ran out of the step budget: accept if close, else fail
     r = np.abs(reg_inc_beta(xs, a, b) - pc)
     if np.any(r > 1e-9):
         k = int(np.argmax(r))
@@ -371,13 +436,18 @@ def _inv_reg_inc_beta_pair(p, a, b):
 def inv_reg_inc_beta(p, a, b):
     """Inverse of reg_inc_beta in its first argument.
 
-    Returns x in [0, 1] with I_x(a, b) = p, by bracketed Newton iteration
-    from an analytic seed.  A lane stops when |I_x - p| <= 1e-13 or when
-    its bracket has collapsed to adjacent floats (steep quantiles: the
-    residual then sits at the derivative-times-ulp quantization floor).
-    Lanes still open after 100 steps are accepted if |I_x - p| <= 1e-9;
-    otherwise ValueError names the worst (p, a, b).  a and b are scalars;
-    p broadcasts, with one Newton loop per call; scalar in, float out.
+    Returns x in [0, 1] with I_x(a, b) = p, by bracketed Halley steps from
+    a seed interpolated in a forward table: one reg_inc_beta call on 129
+    nodes per call, uniform in logit x, gives each lane its bracket and a
+    cubic Hermite start (slopes from the density), so most lanes converge
+    on their second evaluation.  A step that leaves the bracket bisects
+    it; one below half an ulp moves x by one ulp.  A lane stops when
+    |I_x - p| <= 1e-13 or when its bracket has collapsed to adjacent
+    floats (steep quantiles: the residual then sits at the
+    derivative-times-ulp quantization floor).  Lanes still open after 100
+    steps are accepted if |I_x - p| <= 1e-9; otherwise ValueError names
+    the worst (p, a, b).  a and b are scalars; p broadcasts, with one
+    table and one step loop per call; scalar in, float out.
     """
     return _at_pair(_inv_reg_inc_beta_pair, "inv_reg_inc_beta", "p", p, a, b)
 

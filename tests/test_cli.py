@@ -534,13 +534,13 @@ def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv, large):
     "argv, digest",
     [
         (["sample", "--preset", "wigner", "--n", "100000", "--seed", "7", "--stream", "3"],
-         "51717dcddbefb9799d5bcc843f5544774d8522fd3602342042a5a0d66ad4ed69"),
+         "36ebe42151fb6d56c8cf229f1aa94923380013404aebf46bde45eaeb896657fe"),
         (["sample", *D3_FLAGS, "--n", "100000", "--seed", "7", "--stream", "3", "--format", "json"],
-         "95e9a463ae4f529ea170acf2ee15e03086ad17636b7e9ef1ced96d2df2fb9685"),
+         "dca40d5c2238969dc01afbf405dd79b97f1771e6a53b3a5efab2081673566797"),
         (["eval", *D1_FLAGS, "--t", "1.3", "--grid", "-2:2:4001"],
          "6379d9b2fcb735e2c45c2cd6303e92103463d668bc63ae724cfbfdf6d0108265"),
         (["sample", *D1_FLAGS, "--n", "100000", "--seed", "7", "--stream", "3", "--format", "json"],
-         "56f7aef1e72c3a053cab5d5702ede129145fa8f42467aeed8cf75d77ea613548"),
+         "99ca545f18ccff2b196b1dd96960c0977a3d26ebc9ea5cce447a2cd57cb2ecb9"),
         (["eval", *D3_FLAGS, "--t", "1.3", "--grid", "-2:2:4001", "--format", "json"],
          "dea194ef033abdd049ddfb47fb87862e9602f2e18bb5e5ee1086464ded3f81d7"),
         (["msd", *D3_FLAGS, "--grid", "0.5:4:50"],
@@ -552,11 +552,15 @@ def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv, large):
          "sample-d1-json", "eval-d3-json", "msd-d3-csv", "msd-d3-json"],
 )
 def test_pinned_output_bytes(tmp_path, argv, digest):
-    # SHA-256 of outputs written by the code before the incomplete beta
-    # moved to its scalar-(a, b) core (the first three) and before the
-    # numeric tables were formatted a chunk at a time (the rest): the
-    # draws (inverse incomplete beta), the d = 1 cdf column (forward) and
-    # every formatted cell must keep every byte
+    # SHA-256 of outputs: the eval and msd digests were written before the
+    # incomplete beta moved to its scalar-(a, b) core and before the
+    # numeric tables were formatted a chunk at a time, so the d = 1 cdf
+    # column (forward incomplete beta) and every formatted cell keep every
+    # byte.  The three sample digests were retaken when the inverse moved
+    # to a forward-table seed and Halley steps: positions moved by at most
+    # 3.7e-11, their Beta variates by 1.8e-11, which stay within 1.2e-11
+    # of scipy's betaincinv; reruns and thread counts still give the same
+    # bytes
     target = tmp_path / "out"
     assert main([*argv, "--output", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
@@ -725,3 +729,19 @@ def test_telegraph_eps_sweep_script():
     for r in rows:
         assert 0.0 < float(r[1]) < 1.0
         assert r[2] == "2000"
+
+
+@pytest.mark.parametrize("argv", [["--t", "inf"], ["--n", "5"]], ids=["t-inf", "n-5"])
+def test_telegraph_eps_sweep_script_usage_error(argv):
+    # a value the library refuses: exit 2 and one error line, as in the CLI
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "telegraph_eps_sweep.py"), *argv],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("telegraph_eps_sweep.py: error: ")

@@ -226,6 +226,21 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, np.nan, 1.0)
 
 
+@pytest.fixture
+def forward_lanes(monkeypatch):
+    """Counts the lanes the inverse hands reg_inc_beta, its seed table's
+    included, through the module global it calls."""
+    lanes = [0]
+    forward = specfun.reg_inc_beta
+
+    def counted(x, a, b):
+        lanes[0] += np.size(x)
+        return forward(x, a, b)
+
+    monkeypatch.setattr(specfun, "reg_inc_beta", counted)
+    return lanes
+
+
 class TestInvRegIncBeta:
     def test_frozen_value(self):
         # mpmath root of I_x(2.5, 0.7) = 0.3
@@ -275,13 +290,79 @@ class TestInvRegIncBeta:
         got = per_pair(inv_reg_inc_beta, p, a, b)
         assert np.max(np.abs(got - scipy.special.betaincinv(a, b, p))) <= 1e-10
 
+    @pytest.mark.parametrize("a, b", [(4.0, 0.2), (0.05, 0.05), (9.1, 0.068)])
+    def test_against_scipy_small_b(self, a, b, forward_lanes):
+        # b < 1: the density blows up at x = 1, so near there the ulp of x
+        # keeps the residual above 1e-13 and lanes end on a pinched bracket
+        rng = np.random.default_rng(20261018)
+        p = np.concatenate([rng.uniform(0.0, 1.0, 4000), [0.5, 1.0 - 1e-6], [1e-6, 1e-16]])
+        x = inv_reg_inc_beta(p, a, b)
+        # a step below half an ulp moves one ulp, so pinched lanes cost no
+        # more than the rest
+        assert forward_lanes[0] <= 3.5 * p.size
+        # the last two lanes sit in the flat lower tail, where the absolute
+        # stopping rule bounds I_x, not x (at (9.1, 0.068) it lets x be off
+        # by 4e-9 at p = 1e-6 and by 3e-2 at p = 1e-16), so they only take
+        # the check below
+        assert np.max(np.abs(x - scipy.special.betaincinv(a, b, p))[:-2]) <= 1e-10
+        # every lane ends at |I_x - p| <= 1e-13 or within one ulp of the
+        # sign change
+        r = reg_inc_beta(x, a, b) - p
+        far = np.abs(r) > 1e-13
+        r_lo = reg_inc_beta(np.nextafter(x[far], 0.0), a, b) - p[far]
+        r_hi = reg_inc_beta(np.minimum(np.nextafter(x[far], 1.0), 1.0), a, b) - p[far]
+        assert np.all(np.minimum(r_lo, r[far]) <= 0.0)
+        assert np.all(np.maximum(r_hi, r[far]) >= 0.0)
+
+    def test_large_b_against_mpmath(self):
+        # (1/2, 1e6 + 1): the reference roots take Newton steps at 50
+        # digits on I_u = (2/B) int_0^sqrt(u) (1 - s^2)^(b-1) ds
+        mpmath = pytest.importorskip("mpmath")
+        a, b = 0.5, 1e6 + 1.0
+        p = np.array([1e-12, 1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-9])
+        x = inv_reg_inc_beta(p, a, b)
+        with mpmath.workdps(50):
+            beta = mpmath.beta(a, b)
+
+            def cdf(u):
+                root = mpmath.sqrt(u)
+                return 2 * mpmath.quad(lambda s: (1 - s * s) ** (b - 1), [0, root]) / beta
+
+            def pdf(u):
+                return u ** (a - 1) * (1 - u) ** (b - 1) / beta
+
+            ref = []
+            for pk in p:
+                u = mpmath.mpf(float(scipy.special.betaincinv(a, b, pk)))
+                for _ in range(5):
+                    u -= (cdf(u) - mpmath.mpf(float(pk))) / pdf(u)
+                ref.append(float(u))
+        # the density is 1e-3 at p = 1 - 1e-9, so |I_x - p| <= 1e-13 holds
+        # x to 1e-10 there, and the sweep's 1e-10 is the bound
+        assert np.max(np.abs(x - ref)) <= 1e-10
+
+    def test_work_per_lane_on_sample_members(self, forward_lanes):
+        # the (d/beta, gamma + 1) of the benchmark's sample members: 2.0 to
+        # 2.08 lanes per lane, where a linear start takes 2.7 to 3.0, Newton
+        # steps 2.3 to 2.8 and the analytic seed of old 4.8 to 5.8
+        pairs = [(0.5, 1.5), (0.4, 1.8), (2.0 / 3.0, 3.0), (1.0 / 3.0, 2.0), (0.5, 3.5),
+                 (4.0 / 3.0, 2.0), (2.0, 2.2), (1.5, 3.0), (2.0, 2.5), (2.5, 2.5)]
+        rng = np.random.default_rng(7001)
+        n = 20_000
+        for a, b in pairs:
+            forward_lanes[0] = 0
+            inv_reg_inc_beta(rng.random(n) + 2.0**-54, a, b)
+            assert forward_lanes[0] <= 2.2 * n, (a, b)
+
     def test_nonconvergence_names_lane_and_stage(self, monkeypatch):
-        monkeypatch.setattr(specfun, "_INV_BETA_MAX_NEWTON", 1)
+        # the seed and one Halley step already reach 1e-9 on these lanes,
+        # so only an empty step budget leaves them open
+        monkeypatch.setattr(specfun, "_INV_BETA_MAX_NEWTON", 0)
         with pytest.raises(ValueError) as exc:
             inv_reg_inc_beta(np.array([0.3, 0.999]), 2.5, 0.7)
         msg = str(exc.value)
         assert "a = 2.5, b = 0.7" in msg and ("p = 0.3," in msg or "p = 0.999," in msg)
-        assert "Newton budget of 1 steps" in msg and "final residual" in msg
+        assert "Newton budget of 0 steps" in msg and "final residual" in msg
 
 
 @pytest.mark.parametrize("fn", [reg_inc_beta, inv_reg_inc_beta])
@@ -424,7 +505,23 @@ class TestLnBeta:
         b = a[:, None]
         assert np.array_equal(ln_beta(a, b), ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b))
 
-    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (np.nan, 20.0)])
+    def test_scalar_path_bit_equal_to_array_path(self):
+        # scalar (a, b) take np.float64 formulas; they must give the array
+        # path's bits in each branch: reflection (< 0.5), Lanczos (< 10)
+        # and the Stirling difference (max(a, b) >= 10)
+        rng = np.random.default_rng(20261018)
+        a = np.concatenate([rng.uniform(1e-3, 0.5, 400), rng.uniform(0.5, 10.0, 400),
+                            np.exp(rng.uniform(math.log(10.0), math.log(1e8), 400))])
+        b = rng.permutation(a)
+        assert np.array_equal([ln_beta(x, y) for x, y in zip(a, b)], ln_beta(a, b))
+        assert np.array_equal([ln_gamma(x) for x in a], ln_gamma(a))
+        assert type(ln_beta(np.float64(2.0), 3)) is float and type(ln_gamma(np.int64(3))) is float
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, 1.0), (1.0, -2.0), (np.inf, 1.0), (np.nan, 20.0), (20.0, np.nan),
+         (np.array([1.0, 0.0]), 2.0)],
+    )
     def test_domain(self, a, b):
         with pytest.raises(ValueError):
             ln_beta(a, b)
