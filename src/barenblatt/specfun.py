@@ -322,11 +322,10 @@ def _logit(v):
 
 
 def _inv_beta_table_seed(p, a, b, ln_b):
-    """(start, bracket low, bracket high) for the lanes p, from one
-    reg_inc_beta table.  Between the two nodes that bracket it, a lane
-    takes the cubic Hermite interpolant of logit x against logit I_x, a
-    plane in which both tails are asymptotically straight, with the slopes
-    the density gives; beyond the table's ends it starts from the
+    """Start for the lanes p, from one reg_inc_beta table.  Between the
+    two nodes that bracket it, a lane takes the cubic Hermite interpolant
+    of logit x against logit I_x, a plane in which both tails are
+    asymptotically straight, with the slopes the density gives; beyond the table's ends it starts from the
     power-law asymptote.  Nodes whose I_x rounds to 0 or 1 are dropped."""
     # ln x and ln(1 - x) where the tail asymptotes reach _INV_BETA_TAIL,
     # capped so the two ends stay ordered, x stays a normal float and 1 - x
@@ -346,8 +345,6 @@ def _inv_beta_table_seed(p, a, b, ln_b):
     i_x, x, z = i_x[keep], x[keep], z[keep]
     # I at node j - 1 <= p < I at node j
     j = np.searchsorted(i_x, p, side="right")
-    ends = np.concatenate(([0.0], x, [1.0]))
-    lo, hi = ends[j], ends[j + 1]
     x0 = np.empty_like(p)
     with np.errstate(all="ignore"):
         below, above = j == 0, j == i_x.size
@@ -366,9 +363,8 @@ def _inv_beta_table_seed(p, a, b, ln_b):
         u0, h, z0, c1, c2, c3 = coef[:, j[inside] - 1]
         t = (_logit(p[inside]) - u0) / h
         x0[inside] = 1.0 / (1.0 + np.exp(-(z0 + t * (c1 + t * (c2 + t * c3)))))
-    # a start outside its bracket, or NaN, moves to the bracket's end
-    x0 = np.fmin(np.fmax(x0, lo), hi)
-    return np.clip(x0, 1e-300, 1.0 - 1e-16), lo, hi
+    # fmax/fmin also move a NaN start inside
+    return np.fmin(np.fmax(x0, 1e-300), 1.0 - 1e-16)
 
 
 def _inv_reg_inc_beta_pair(p, a, b):
@@ -379,10 +375,11 @@ def _inv_reg_inc_beta_pair(p, a, b):
     ln_b = ln_beta(a, b)
     # rows xs, pc, xlo, xhi of the lanes still open; one take() drops the
     # converged columns from all four
-    work = np.empty((4, idx.size))
+    work = np.zeros((4, idx.size))
     xs, pc, xlo, xhi = work
     pc[:] = p[idx]
-    xs[:], xlo[:], xhi[:] = _inv_beta_table_seed(pc, a, b, ln_b)
+    xs[:] = _inv_beta_table_seed(pc, a, b, ln_b)
+    xhi[:] = 1.0
     for _ in range(_INV_BETA_MAX_NEWTON):
         # through the module global, so a wrapper installed on
         # reg_inc_beta sees every step
@@ -438,10 +435,10 @@ def inv_reg_inc_beta(p, a, b):
 
     Returns x in [0, 1] with I_x(a, b) = p, by bracketed Halley steps from
     a seed interpolated in a forward table: one reg_inc_beta call on 129
-    nodes per call, uniform in logit x, gives each lane its bracket and a
-    cubic Hermite start (slopes from the density), so most lanes converge
-    on their second evaluation.  A step that leaves the bracket bisects
-    it; one below half an ulp moves x by one ulp.  A lane stops when
+    nodes per call, uniform in logit x, gives each lane a cubic Hermite
+    start (slopes from the density), so most lanes converge on their
+    second evaluation.  A step that leaves the bracket bisects it; one
+    below half an ulp moves x by one ulp.  A lane stops when
     |I_x - p| <= 1e-13 or when its bracket has collapsed to adjacent
     floats (steep quantiles: the residual then sits at the
     derivative-times-ulp quantization floor).  Lanes still open after 100
