@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -358,6 +359,16 @@ class TestTelegraph:
         got = sample_epd_telegraph(RngStream(SEED, 27), xi, c, t, eps, 300)
         want = _telegraph_oracle(RngStream(SEED, 27), xi, c, t, eps, 300)
         assert np.max(np.abs(got - want)) <= 1e-14 * c * t
+
+    def test_pinned_bytes(self):
+        # 2500 paths per call cross two 1024-path blocks; at xi = 3,
+        # eps = 1e-6 (mean 41 flips) paths run through up to five rounds
+        out = np.concatenate([
+            sample_epd_telegraph(RngStream(SEED, 31), xi, 1.3, 0.9, eps, 2500)
+            for xi, eps in [(1.5, 1e-3), (3.0, 1e-6)]
+        ])
+        digest = "f7dcce0813e96374148c17aef919e029d61e559fead8081b6b26dc545b6d0ebd"
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     def test_scalar_call(self):
         v = sample_epd_telegraph(RngStream(SEED, 28), 2.0, 1.0, 1.0, 1e-3)
