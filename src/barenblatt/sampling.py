@@ -22,11 +22,17 @@ of the interface and must not be reordered):
                          words for all live paths of a round at once, in
                          blocks of 1024 paths; variate i does not depend
                          on the batch size
+
+In the kernel, round 0 depends only on the counter (one product per
+counter, shared by every path) and round 1's first product only on the
+key (one per path); the sign word comes from the same call as round 0's
+gaps.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -73,6 +79,20 @@ def _child_id(stream_id, k):
     return _mix64(stream_id ^ (((k + 1) * _GOLDEN) & _MASK64))
 
 
+def _count(name, v):
+    """v as an int >= 0.  A float or a bool is refused: int() would
+    truncate it to a silently wrong count."""
+    try:
+        if isinstance(v, (bool, np.bool_)):
+            raise TypeError
+        n = operator.index(v)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+    return n
+
+
 # Philox4x64-10 (Salmon et al., SC'11), the generator numpy's Philox runs.
 # Each multiplier is held with its 32-bit halves, so the kernel only ever
 # combines a uint64 scalar with a uint64 array (no scalar-scalar shift,
@@ -87,12 +107,19 @@ _LO32 = np.uint64(0xFFFFFFFF)
 
 def _mulhilo(m, x):
     """(low, high) 64-bit words of the 128-bit product m * x, where m is
-    a (value, low half, high half) multiplier of _PHILOX_M."""
+    a (value, low half, high half) multiplier of _PHILOX_M.  The high word
+    is m1 x1 + (t >> 32) + (w >> 32) with t = m1 x0 + (m0 x0 >> 32) and
+    w = (t & LO) + m0 x1; neither t nor w exceeds 2**64 - 1."""
     m, m0, m1 = m
     x0, x1 = x & _LO32, x >> 32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = ((m0 * x0) >> 32) + (p01 & _LO32) + (p10 & _LO32)
-    return m * x, m1 * x1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    t = m1 * x0
+    t += (x0 * m0) >> 32
+    w = m0 * x1
+    w += t & _LO32
+    x1 *= m1
+    x1 += t >> 32
+    x1 += w >> 32
+    return m * x, x1
 
 
 def _philox_words(k0, k1, first, blocks):
@@ -102,17 +129,21 @@ def _philox_words(k0, k1, first, blocks):
     from counter `first` on, counter b giving words 4(b-1) .. 4(b-1)+3.
     Equal to np.random.Philox(key=[k0[i], k1[i]]).random_raw() from
     word 4 * (first - 1) on.
+
+    The counter's other three words are 0, so round 0 multiplies only
+    the counter (one product per column, shared by every row) and leaves
+    c0 = k0, c1 = 0; round 1's first product then depends only on the
+    key (one per row).  Rounds 2-9 work on every (row, column).
     """
-    shape = (k0.size, blocks)
-    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
     k0, k1 = k0[:, None], k1[:, None]
-    for r in range(10):
-        if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+    c3, hi = _mulhilo(_PHILOX_M[0], np.arange(first, first + blocks, dtype=np.uint64))
+    c0, c1, c2 = k0, 0, hi ^ k1
+    for _ in range(9):
+        k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
         lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
         lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        # the key is xored in first: in round 1, c1 ^ k0 is one word per row
+        c0, c1, c2, c3 = hi1 ^ (c1 ^ k0), lo1, hi0 ^ (c3 ^ k1), lo0
     return np.stack([c0, c1, c2, c3], axis=-1).reshape(k0.shape[0], 4 * blocks)
 
 
@@ -246,7 +277,7 @@ def sample_direction(rng: RngStream, d: int, size=None):
     if int(d) != d or d < 2:
         raise ValueError("sample_direction requires integer d >= 2")
     d = int(d)
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _count("size", size)
     z = rng.normals(n * d).reshape(n, d)
     z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
     return z[0] if size is None else z
@@ -310,18 +341,21 @@ def _telegraph_paths(seed: int, ids, xi: float, t: float, eps: float):
     m = ids.size
     k0 = np.full(m, seed, dtype=np.uint64)
     k1 = np.asarray(ids, dtype=np.uint64)
-    head = _philox_words(k0, k1, 1, 1)
-    sign = np.where(_unit_open(head[:, 0]) < 0.5, -1.0, 1.0)
-    carry = head[:, 1:]  # the first 3 gaps of round 0
+    # counters 1..5: the sign at word 0, round 0's 16 gaps, then the
+    # first 3 gaps of round 1
+    words = _philox_words(k0, k1, 1, 5)
+    sign = np.where(_unit_open(words[:, 0]) < 0.5, -1.0, 1.0)
+    words = words[:, 1:]
     alt = np.zeros(m)
     flips = np.zeros(m, dtype=np.int64)
     arrived = np.zeros(m)
     live = np.arange(m)
     r = 0
     while live.size:
-        # counters 4r+2 .. 4r+5 hold the rest of round r's gaps and the
-        # first 3 gaps of round r+1
-        words = np.concatenate([carry, _philox_words(k0[live], k1[live], 4 * r + 2, 4)], axis=1)
+        if r:
+            # counters 4r+2 .. 4r+5 hold the rest of round r's gaps and
+            # the first 3 gaps of round r+1
+            words = np.concatenate([carry, _philox_words(k0[live], k1[live], 4 * r + 2, 4)], axis=1)
         # in place, to hold few (paths, 16) arrays at once: gaps -ln U,
         # arrival times, then s = t exp(-arrival/xi)
         arrivals = np.log(_unit_open(words[:, :_TELEGRAPH_CHUNK]))
@@ -368,9 +402,7 @@ def sample_epd_telegraph(rng: RngStream, xi, c, t, eps, size=None):
         raise ValueError(f"sample_epd_telegraph requires finite xi, c, t > 0, got {xi}, {c}, {t}")
     if not (0.0 < eps < t):
         raise ValueError(f"eps must lie in (0, t), got eps={eps}, t={t}")
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise ValueError(f"size must be >= 0, got {n}")
+    n = 1 if size is None else _count("size", size)
     ids = _child_id(rng.stream_id, np.arange(rng._spawned, rng._spawned + n, dtype=np.uint64))
     rng._spawned += n
     out = np.empty(n)
@@ -417,9 +449,7 @@ def parallel_draw(seed, stream_id, n, draw_block, threads: int = 1):
     function of (seed, stream_id, n, draw_block) - the thread count only
     changes wall time, never bytes.
     """
-    n = int(n)
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _count("n", n)
     base = RngStream(seed, stream_id)
     sizes = [_BLOCK] * (n // _BLOCK)
     if n % _BLOCK:

@@ -14,7 +14,9 @@ from barenblatt.family import (
 from barenblatt.sampling import (
     KSResult,
     RngStream,
+    _PHILOX_M,
     _child_id,
+    _mulhilo,
     _philox_words,
     _telegraph_paths,
     ks_test,
@@ -279,6 +281,36 @@ class TestPhilox:
             assert np.array_equal(words[i], ref)
             assert np.array_equal(later[i], ref[20:32])
 
+    def test_mulhilo_equals_python_ints(self):
+        # words at which a partial sum of the carry chain could overflow
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeded = np.random.default_rng(12).integers(0, 2**64, size=1000, dtype=np.uint64)
+        x = np.concatenate([np.array(edges, dtype=np.uint64), seeded])
+        before = x.copy()
+        for m in _PHILOX_M:
+            lo, hi = _mulhilo(m, x)
+            prods = [int(m[0]) * int(v) for v in x]
+            assert [int(v) for v in lo] == [p & (2**64 - 1) for p in prods]
+            assert [int(v) for v in hi] == [p >> 64 for p in prods]
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("shared_k0, rows, first, blocks", [
+        (True, 7, 1, 5),  # the telegraph shape: one seed, many stream ids
+        (False, 1, 1, 1),
+        (False, 3, 9, 1),
+        (True, 1, 4, 1),
+    ])
+    def test_words_in_kernel_shapes(self, shared_k0, rows, first, blocks):
+        k0 = np.full(rows, 20260816, dtype=np.uint64) if shared_k0 else \
+            np.random.default_rng(13).integers(0, 2**64, size=rows, dtype=np.uint64)
+        k1 = np.random.default_rng(14).integers(0, 2**64, size=rows, dtype=np.uint64)
+        words = _philox_words(k0, k1, first, blocks)
+        assert words.shape == (rows, 4 * blocks)
+        for i in range(rows):
+            gen = np.random.Philox(key=np.array([k0[i], k1[i]], dtype=np.uint64))
+            ref = gen.random_raw(4 * (first - 1 + blocks))
+            assert np.array_equal(words[i], ref[4 * (first - 1):])
+
     def test_child_ids_equal_substream(self):
         for stream_id in (0, 7, 2**63 + 5, 2**64 - 1):
             base = RngStream(3, stream_id)
@@ -423,6 +455,27 @@ class TestParallelDraw:
         draw = lambda rng, m: sample_position(rng, p, 1.0, m)
         out = parallel_draw(SEED, 3, 70000, draw, threads=3)
         assert out.shape == (70000, 2)
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0, np.float64(2.0), True, np.True_, "3"])
+def test_counts_refuse_non_integers(bad):
+    # int() would truncate 2.7 to 2 and take True as 1: a wrong count, no error
+    rng = RngStream(SEED)
+    with pytest.raises(TypeError, match="size must be an integer"):
+        sample_epd_telegraph(rng, 2.0, 1.0, 1.0, 1e-3, bad)
+    with pytest.raises(TypeError, match="size must be an integer"):
+        sample_direction(rng, 3, bad)
+    with pytest.raises(TypeError, match="n must be an integer"):
+        parallel_draw(SEED, 0, bad, lambda r, m: r.uniform_open(m))
+    assert rng.spawn().stream_id == RngStream(SEED).substream(0).stream_id
+
+
+def test_counts_accept_numpy_integers():
+    assert sample_epd_telegraph(RngStream(SEED), 2.0, 1.0, 1.0, 1e-3, np.int64(3)).shape == (3,)
+    assert sample_direction(RngStream(SEED), 3, np.uint8(2)).shape == (2, 3)
+    assert parallel_draw(SEED, 0, np.int32(5), lambda r, m: r.uniform_open(m)).shape == (5,)
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        sample_direction(RngStream(SEED), 3, -1)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])
