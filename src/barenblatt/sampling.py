@@ -83,11 +83,11 @@ def _count(name, v):
     """v as an int >= 0.  A float or a bool is refused: int() would
     truncate it to a silently wrong count."""
     try:
-        if isinstance(v, (bool, np.bool_)):
-            raise TypeError
         n = operator.index(v)
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {v!r}") from None
+        n = None
+    if n is None or isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
     return n
