@@ -107,7 +107,8 @@ _LO32 = np.uint64(0xFFFFFFFF)
 
 def _mulhilo(m, x):
     """(low, high) 64-bit words of the 128-bit product m * x, where m is
-    a (value, low half, high half) multiplier of _PHILOX_M.  The high word
+    a (value, low half, high half) multiplier: one of _PHILOX_M, or arrays
+    of one per lane (the table writer's powers of 5).  The high word
     is m1 x1 + (t >> 32) + (w >> 32) with t = m1 x0 + (m0 x0 >> 32) and
     w = (t & LO) + m0 x1; neither t nor w exceeds 2**64 - 1."""
     m, m0, m1 = m
@@ -194,7 +195,7 @@ class RngStream:
         disk in vectorized rounds; consumption therefore depends on the
         batch size, which is fixed by the caller's call sequence.
         """
-        size = int(size)
+        size = _count("size", size)
         out = np.empty(size)
         filled = 0
         while filled < size:

@@ -467,6 +467,8 @@ def test_counts_refuse_non_integers(bad):
         sample_direction(rng, 3, bad)
     with pytest.raises(TypeError, match="n must be an integer"):
         parallel_draw(SEED, 0, bad, lambda r, m: r.uniform_open(m))
+    with pytest.raises(TypeError, match="size must be an integer"):
+        rng.normals(bad)
     assert rng.spawn().stream_id == RngStream(SEED).substream(0).stream_id
 
 
@@ -474,8 +476,11 @@ def test_counts_accept_numpy_integers():
     assert sample_epd_telegraph(RngStream(SEED), 2.0, 1.0, 1.0, 1e-3, np.int64(3)).shape == (3,)
     assert sample_direction(RngStream(SEED), 3, np.uint8(2)).shape == (2, 3)
     assert parallel_draw(SEED, 0, np.int32(5), lambda r, m: r.uniform_open(m)).shape == (5,)
+    assert RngStream(SEED).normals(np.int16(4)).shape == (4,)
     with pytest.raises(ValueError, match="size must be >= 0"):
         sample_direction(RngStream(SEED), 3, -1)
+    with pytest.raises(ValueError, match="size must be >= 0"):
+        RngStream(SEED).normals(-1)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0])

@@ -174,3 +174,67 @@ def test_empty_table(rows):
     # JSON is still an array; CSV is the header line alone
     assert json.loads("".join(table_chunks(FLOAT_HEADER, rows, "json"))) == []
     assert "".join(table_chunks(FLOAT_HEADER, rows)) == csv_reference(FLOAT_HEADER, [])
+
+
+def float_families(n=25_000, seed=1400):
+    """About 2e5 float64 values, by family, reaching every branch of the
+    vector formatter and its fallback cells."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], n)
+
+    def neighbours(x):
+        # x itself or the float just below or just above it
+        step = rng.integers(-1, 2, n)
+        return np.where(step < 0, np.nextafter(x, 0.0), np.where(step > 0, np.nextafter(x, math.inf), x))
+
+    # N / 2**p with N odd and N 5**p of 18 digits: its exact decimal ends
+    # in a 5 at the 18th digit, so %.17g rounds a tie
+    p = rng.integers(3, 26, n)
+    ties = (rng.integers(-(-(10**17) // 5**p), np.minimum(10**18 // 5**p, 2**53)) | 1) / 2.0**p
+    tens = np.array([float(f"1e{k}") for k in range(-12, 17)])
+    edges = [1e-11, 1e15, 5e-324, 2.2250738585072014e-308, 1e308]
+    special = np.concatenate([[0.0, -0.0, 1.7976931348623157e308], np.nextafter(edges, 0.0), edges,
+                              np.nextafter(edges, math.inf)])
+    return {
+        "normal draws": rng.standard_normal(n),
+        "log-uniform": sign * 10.0 ** rng.uniform(-13, 17, n),
+        "short decimals": rng.integers(-(10**6), 10**6, n) / 10.0 ** rng.integers(0, 16, n),
+        "dyadic": rng.integers(-(2**20), 2**20, n) * 2.0 ** rng.integers(-60, 40, n),
+        "ties": sign * ties,
+        "powers of 2": sign * neighbours(np.ldexp(1.0, rng.integers(-38, 51, n))),
+        "powers of 10": sign * neighbours(tens[rng.integers(0, len(tens), n)]),
+        "zeros and extremes": np.resize(np.concatenate([special, -special]), n),
+    }
+
+
+FAMILY_HEADER = ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_families_match_reference(fmt):
+    # every byte of the vector path against the per-cell references
+    reference = csv_reference if fmt == "csv" else json_reference
+    wrong = {}
+    for name, values in float_families().items():
+        a = values.reshape(-1, len(FAMILY_HEADER))
+        got = lines("".join(table_chunks(FAMILY_HEADER, a, fmt)))
+        want = lines(reference(FAMILY_HEADER, a.tolist()))
+        bad = [(g, w) for g, w in zip(got, want) if g != w]
+        if bad or len(got) != len(want):
+            wrong[name] = (len(bad), bad[:2])
+    assert not wrong
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n, m",
+    [(_table.VECTOR_CELLS - 1, 1), (_table.VECTOR_CELLS, 1), (-(-_table.VECTOR_CELLS // 3), 3),
+     (CHUNK_ROWS + _table.VECTOR_CELLS // 2, 2)],
+    ids=["below-cutover", "at-cutover", "3col-at-cutover", "chunk-and-tail-at-cutover"],
+)
+def test_chunks_either_side_of_cutover_match_reference(fmt, n, m):
+    values = np.concatenate(list(float_families(n=1_000, seed=1401).values()))
+    a = np.resize(values, n * m).reshape(n, m)
+    header = FAMILY_HEADER[:m]
+    reference = csv_reference if fmt == "csv" else json_reference
+    assert lines("".join(table_chunks(header, a, fmt))) == lines(reference(header, a.tolist()))
