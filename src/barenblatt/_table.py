@@ -13,7 +13,7 @@ Rows given as a 2-d float64 ndarray are formatted a chunk at a time.  A
 chunk of at least VECTOR_CELLS cells is spelled in numpy with no Python
 call per cell: exact integer arithmetic gives each float's digits, in
 the manner of Ryu (Adams, PLDI 2018), and shifts of 64-bit words lay out
-its text (`_decimal`, `_cells`).  Cells with |x| outside [1e-11, 1e15)
+its text (`_decimal`, `_cells`).  Cells with |x| outside [10**-11, 1e15)
 other than +-0 (subnormals, non-finite values, very large and very small
 ones) take Python's own `"%.17g" % x` or `float.__repr__(x)`.  A smaller
 chunk is one `%` over a chunk-wide template of `%.17g` (CSV) or `%r`
