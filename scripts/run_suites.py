@@ -30,6 +30,8 @@ def main(argv=None) -> int:
         help="subset to run (default: all)",
     )
     args = ap.parse_args(argv)
+    if args.threads < 1:
+        ap.error(f"--threads must be >= 1, got {args.threads}")
 
     all_ok = True
     summary = []

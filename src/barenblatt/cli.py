@@ -5,11 +5,11 @@ Output is CSV (RFC-4180-style quoting) or a JSON array of objects,
 streamed in row chunks by `_table`.  CSV reals are printed with 17
 significant digits so files diff cleanly across runs; JSON uses the
 native shortest round-trip repr.  Exit codes: 0 success, 1 runtime
-failure (failed verification checks, broken output pipe), 2 usage error,
-including a value the library refuses with ValueError.  Exit 1 on a
-broken pipe holds under unbuffered stdio (`python -u`, PYTHONUNBUFFERED)
-as well: stdout is written in full or the command fails, never cut short
-with exit 0.
+failure (failed verification checks, broken output pipe, an integral
+that cannot meet its tolerance), 2 usage error, including a value the
+library refuses with ValueError.  Exit 1 on a broken pipe holds under
+unbuffered stdio (`python -u`, PYTHONUNBUFFERED) as well: stdout is
+written in full or the command fails, never cut short with exit 0.
 
 The only environment variable consulted is BARENBLATT_OUTDIR: when set,
 relative --output paths (and verify report directories) resolve inside
@@ -19,6 +19,7 @@ it.  Everything else comes from flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -32,6 +33,7 @@ from . import transforms as trans_mod
 from . import verify as verify_mod
 from ._table import table_chunks, write_table
 from .family import FamilyParams, new_family
+from .specfun import QuadratureError
 
 __all__ = ["main"]
 
@@ -106,6 +108,7 @@ def _check_time(args, parser) -> None:
         parser.error(f"--t must be finite and > 0, got {args.t}")
 
 
+_EXPLICIT = ("alpha", "beta", "gamma", "c", "d")
 _PRESET_NEEDS = {
     "wigner": (),
     "ple": ("p", "d"),
@@ -116,26 +119,26 @@ _PRESET_NEEDS = {
 
 
 def _resolve_family(args, parser) -> FamilyParams:
-    explicit = [
-        f
-        for f in ("alpha", "beta", "gamma", "c", "d")
-        if getattr(args, f, None) is not None
-    ]
+    given = [f for f in (*_EXPLICIT, "p", "m", "nu") if getattr(args, f) is not None]
     if args.preset is None:
-        missing = [f for f in ("alpha", "beta", "gamma", "c", "d") if f not in explicit]
+        route, reads = "an explicit family", _EXPLICIT
+        missing = [f for f in reads if f not in given]
         if missing:
             parser.error(
                 "give either --preset or all of --alpha --beta --gamma --c --d "
                 f"(missing --{missing[0]})"
             )
+    else:
+        route, reads = f"--preset {args.preset}", _PRESET_NEEDS[args.preset]
+        for f in reads:
+            if f not in given:
+                parser.error(f"{route} requires --{f}")
+    # a flag the route does not read would be silently ignored
+    unread = [f for f in given if f not in reads]
+    if unread:
+        parser.error(f"--{unread[0]} is not read by {route}")
+    if args.preset is None:
         return new_family(args.alpha, args.beta, args.gamma, args.c, args.d)
-    clash = [f for f in ("alpha", "beta", "gamma") if f in explicit]
-    if clash:
-        parser.error(f"--{clash[0]} conflicts with --preset")
-    needs = _PRESET_NEEDS[args.preset]
-    for f in needs:
-        if getattr(args, f, None) is None:
-            parser.error(f"--preset {args.preset} requires --{f}")
     if args.preset == "wigner":
         return preset_mod.wigner_preset()
     if args.preset == "ple":
@@ -254,7 +257,11 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: parse_args gives
+    a fresh namespace on every call and reads the help width only when
+    help is printed, so the tree can be shared."""
     parser = argparse.ArgumentParser(
         prog="barenblatt",
         description="compactly supported self-similar densities: evaluate, "
@@ -309,7 +316,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--out", default=None, help="report directory")
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--h-levels", type=int, default=3)
+    return parser
 
+
+def main(argv=None) -> int:
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     # join "--grid -2:2:5" into one token: a leading minus in the grid spec
@@ -325,6 +336,8 @@ def main(argv=None) -> int:
         value = getattr(args, flag, 0)
         if not 0 <= value < 1 << 64:
             parser.error(f"--{flag} must lie in [0, 2**64), got {value}")
+    if getattr(args, "threads", 1) < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     handler = {
         "eval": _cmd_eval,
         "sample": _cmd_sample,
@@ -339,6 +352,10 @@ def main(argv=None) -> int:
         # a parameter the library refuses is a usage error, not a crash
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
+    except QuadratureError as exc:
+        # an integral that cannot meet its tolerance names its interval
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # downstream closed the pipe (e.g. `... | head`); point stdout at
         # devnull so the interpreter's exit flush does not raise again

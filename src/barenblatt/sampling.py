@@ -79,8 +79,8 @@ def _child_id(stream_id, k):
     return _mix64(stream_id ^ (((k + 1) * _GOLDEN) & _MASK64))
 
 
-def _count(name, v):
-    """v as an int >= 0.  A float or a bool is refused: int() would
+def _count(name, v, least=0):
+    """v as an int >= least.  A float or a bool is refused: int() would
     truncate it to a silently wrong count."""
     try:
         n = operator.index(v)
@@ -88,8 +88,8 @@ def _count(name, v):
         n = None
     if n is None or isinstance(v, (bool, np.bool_)):
         raise TypeError(f"{name} must be an integer, got {v!r}")
-    if n < 0:
-        raise ValueError(f"{name} must be >= 0, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
 
 
@@ -451,6 +451,7 @@ def parallel_draw(seed, stream_id, n, draw_block, threads: int = 1):
     changes wall time, never bytes.
     """
     n = _count("n", n)
+    threads = _count("threads", threads, least=1)
     base = RngStream(seed, stream_id)
     sizes = [_BLOCK] * (n // _BLOCK)
     if n % _BLOCK:
@@ -461,9 +462,9 @@ def parallel_draw(seed, stream_id, n, draw_block, threads: int = 1):
     def work(b: int):
         return np.asarray(draw_block(base.substream(b), sizes[b]))
 
-    if threads <= 1:
+    if threads == 1:
         parts = [work(b) for b in range(len(sizes))]
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(work, range(len(sizes))))
     return np.concatenate(parts, axis=0)

@@ -561,6 +561,12 @@ def sphere_surface(d) -> float:
 _ABS_TOL = 1e-11
 _REL_TOL = 1e-11
 _MAX_SUBDIVISIONS = 4000
+# depth L of the start mesh of `integrate`: its 2L panels are graded
+# geometrically toward both ends (QUADPACK, 1983, 2.2), the smallest 2^-L
+# of the width, so an algebraic endpoint weight starts L halvings deep
+# instead of taking one bisection pass per halving.  Deeper than 20 buys
+# no passes on the transform routes; shallower costs passes
+_GRADE_LEVELS = 20
 
 
 class QuadratureError(RuntimeError):
@@ -622,8 +628,11 @@ def integrate(f, lo, hi):
     results broadcast), giving a float, or (n, m) for m integrands on one
     mesh, giving an (m,) array.  Each panel costs 15 nodes: the Kronrod
     rule gives its value and the difference from the embedded 7-node
-    Gauss rule its error estimate.  Column j is done once its summed
-    estimate is at most max(1e-11, 1e-11 |integral_j|).  On each pass
+    Gauss rule its error estimate.  The first call to f evaluates a start
+    mesh of 40 panels graded geometrically toward both ends, the outermost
+    2^-20 of the width, so an algebraic endpoint weight starts 20 halvings
+    deep.  Column j is done once its summed estimate is at most
+    max(1e-11, 1e-11 |integral_j|).  On each pass
     every open column marks its largest-error panels until the unmarked
     ones hold at most half its tolerance; all marked panels are bisected
     and their halves evaluated in one call to f.  Panels that reach
@@ -641,11 +650,14 @@ def integrate(f, lo, hi):
     sign = 1.0
     if lo > hi:
         lo, hi, sign = hi, lo, -1.0
-    a = np.array([lo])
-    b = np.array([hi])
+    # edges lo + w {0, 2^-L, ..., 1/2} and hi - w {1/4, ..., 2^-L, 0} for
+    # w = hi - lo, each half measured from its own end
+    steps = (hi - lo) * 0.5 ** np.arange(_GRADE_LEVELS, 0, -1.0)
+    edges = np.concatenate([[lo], lo + steps, hi - steps[-2::-1], [hi]])
+    a, b = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, a, b)
     scalar = vals.ndim == 1
-    vals, errs = vals.reshape(1, -1), errs.reshape(1, -1)
+    vals, errs = vals.reshape(a.size, -1), errs.reshape(a.size, -1)
     min_width = 200.0 * _EPS * max(1.0, abs(lo), abs(hi))
     splits = 0
 

@@ -39,10 +39,10 @@ def _power_endpoint_integral(g, p0: float, p1: float):
     The interval is split at 1/2 and an endpoint whose exponent is
     negative (a true integrable singularity) is absorbed by substituting
     s = w^{1/(1+p)} there, which turns the weight into the constant
-    1/(1+p).
-    Nonnegative exponents are left to graded adaptive refinement.  Like
-    an `integrate` integrand, g may return (n,) or (n, m) values on n
-    nodes; the result is then a float or an (m,) array.
+    1/(1+p).  Nonnegative exponents are left to `integrate`, whose start
+    mesh is graded toward both ends.  Like an `integrate` integrand, g may
+    return (n,) or (n, m) values on n nodes; the result is then a float or
+    an (m,) array.
     """
     if p0 <= -1.0 or p1 <= -1.0:
         raise ValueError("endpoint exponents must be > -1 for integrability")

@@ -4,6 +4,7 @@ Commands run in-process through main(argv) so coverage and speed stay
 reasonable; one subprocess smoke test exercises the real entry point.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -19,7 +20,8 @@ import numpy as np
 import pytest
 
 import barenblatt
-from barenblatt import specfun
+from barenblatt import cli, specfun
+from barenblatt import transforms as trans_mod
 from barenblatt.cli import main
 from barenblatt.verify import SuiteReport
 
@@ -597,10 +599,16 @@ FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]
         ["sample", "--preset", "wigner", "--n", "3", "--seed", "7", "--stream", str(2**64)],
         ["verify", "presets", "--seed", "-1"],
         ["ft", *FAMILY_FLAGS, "--d", "2", "--kind", "projection", "--grid", "0:200:5"],
+        ["eval", "--preset", "wigner", "--c", "5", "--d", "3", "--grid=0:1:2"],
+        ["eval", "--preset", "zkb", "--m", "2", "--d", "1", "--nu", "7", "--grid=0:1:2"],
+        ["eval", *FAMILY_FLAGS, "--d", "1", "--p", "3", "--nu", "2", "--grid=0:1:2"],
+        ["verify", "presets", "--threads", "0"],
+        ["verify", "sampling", "--threads", "-1"],
     ],
     ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308",
          "seed-negative", "seed-2**64", "stream-negative", "stream-2**64", "verify-seed-negative",
-         "projection-beyond-rule"],
+         "projection-beyond-rule", "wigner-unread-c-d", "zkb-unread-nu", "explicit-unread-p-nu",
+         "threads-0", "threads-negative"],
 )
 def test_usage_error_exits_two(argv):
     # refused input: exit 2, one error line, nothing on stdout, no traceback
@@ -614,6 +622,104 @@ def test_usage_error_exits_two(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("barenblatt: error: ")
+
+
+# 3e7 concentrates the weight where (1 - s)^gamma is rounding noise, so the
+# error estimate cannot fall below the tolerance
+QUADRATURE_FAILURE = ["ft", "--alpha", "0.5", "--beta", "2", "--gamma", "3e7", "--c", "1",
+                      "--d", "1", "--grid=0:2:3"]
+
+
+def test_quadrature_failure_exits_one(capsys):
+    code = main(QUADRATURE_FAILURE)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("barenblatt: error: ") and " on [0.0, " in err
+
+
+def test_any_quadrature_failure_exits_one(capsys, monkeypatch):
+    # whatever the member: an integral that raises leaves through exit 1
+    def fail(f, lo, hi):
+        raise specfun.QuadratureError(f"4000 subdivisions exhausted on [{lo!r}, {hi!r}]")
+
+    monkeypatch.setattr(trans_mod, "integrate", fail)
+    code = main(["ft", "--preset", "wigner", "--grid", "0:1:3"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("barenblatt: error: 4000 subdivisions exhausted on [0.0, ")
+
+
+def test_quadrature_failure_in_a_subprocess():
+    proc = subprocess.run(
+        [sys.executable, "-m", "barenblatt", *QUADRATURE_FAILURE],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+# one request per kind of path through main: a table, a usage error, draws
+# and a suite report
+IN_PROCESS = [
+    ["eval", "--preset", "wigner", "--grid", "-2:2:5"],
+    ["eval", "--preset", "wigner", "--grid", "0:1:0"],
+    ["sample", "--preset", "wigner", "--n", "5", "--seed", "7"],
+    ["verify", "presets"],
+]
+
+
+@pytest.mark.parametrize("argv", IN_PROCESS, ids=["eval", "usage-error", "sample", "verify-presets"])
+def test_repeated_main_matches_a_fresh_process(argv, capsysbinary):
+    proc = subprocess.run(
+        [sys.executable, "-m", "barenblatt", *argv], capture_output=True, env=package_env()
+    )
+    for _ in range(2):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsysbinary.readouterr().out) == (proc.returncode, proc.stdout)
+
+
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    main(["presets"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in IN_PROCESS:
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    assert built == []
+
+
+@pytest.mark.parametrize("sub", ["eval", "sample", "presets", "ft", "msd", "verify"])
+def test_help_lists_every_flag(sub, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    main(["presets"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    # the same text a freshly built tree prints
+    fresh = cli._parser.__wrapped__()
+    (subs,) = [a for a in fresh._actions if isinstance(a, argparse._SubParsersAction)]
+    assert text == subs.choices[sub].format_help()
+    flags = [o for a in subs.choices[sub]._actions for o in a.option_strings]
+    assert flags and all(f in text for f in flags)
 
 
 class TrickleSink(io.RawIOBase):
@@ -712,6 +818,21 @@ def test_run_suites_summary_names_failures(tmp_path, monkeypatch, capsys):
     assert summary["passed"] is False
     (suite,) = summary["suites"]
     assert (suite["name"], suite["checks"], suite["failures"]) == ("presets", 2, ["broken"])
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_run_suites_script_refuses_threads_below_one(threads, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(SCRIPTS, "run_suites.py"),
+         "--suites", "presets", "--threads", threads, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"run_suites.py: error: --threads must be >= 1, got {threads}"
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_telegraph_eps_sweep_script():

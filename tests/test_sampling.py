@@ -472,6 +472,15 @@ def test_counts_refuse_non_integers(bad):
     assert rng.spawn().stream_id == RngStream(SEED).substream(0).stream_id
 
 
+@pytest.mark.parametrize(
+    "bad, error", [(0, ValueError), (-1, ValueError), (2.5, TypeError), (True, TypeError),
+                   (np.bool_(True), TypeError)],
+)
+def test_parallel_draw_refuses_bad_thread_counts(bad, error):
+    with pytest.raises(error, match="threads must be"):
+        parallel_draw(SEED, 0, 10, lambda r, m: r.uniform_open(m), threads=bad)
+
+
 def test_counts_accept_numpy_integers():
     assert sample_epd_telegraph(RngStream(SEED), 2.0, 1.0, 1.0, 1e-3, np.int64(3)).shape == (3,)
     assert sample_direction(RngStream(SEED), 3, np.uint8(2)).shape == (2, 3)

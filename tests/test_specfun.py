@@ -23,6 +23,7 @@ from barenblatt.specfun import (
     reg_inc_beta,
     sphere_surface,
 )
+from barenblatt.transforms import _power_endpoint_integral
 
 
 class TestLnGamma:
@@ -701,9 +702,84 @@ class TestGaussKronrod:
             return np.exp(np.sin(7.0 * x))
 
         integrate(f, 0.0, 4.0)
-        # the first panel, then per pass two halves of every marked panel,
-        # and some pass marks more than one
-        assert sizes[0] == 15
+        # the graded start mesh, then per pass two halves of every marked
+        # panel, and some pass marks more than one
+        assert sizes[0] == 15 * 2 * specfun._GRADE_LEVELS
         assert len(sizes) > 1
         assert all(s % (2 * 15) == 0 for s in sizes[1:])
-        assert max(sizes) > 2 * 15
+        assert max(sizes[1:]) > 2 * 15
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts integrand calls, one per quadrature pass."""
+    count = [0]
+    inner = specfun._eval_panels
+
+    def counted(f, a, b):
+        count[0] += 1
+        return inner(f, a, b)
+
+    monkeypatch.setattr(specfun, "_eval_panels", counted)
+    return count
+
+
+class TestGradedStart:
+    """The start mesh of `integrate` is graded toward both ends, so an
+    algebraic endpoint weight needs no grading passes of its own.  A
+    one-panel start takes 5-34 passes on these weights."""
+
+    @staticmethod
+    def beta(a, b):
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+    @pytest.mark.parametrize("p", [-0.9, -0.5, 0.5, 2.5])
+    def test_power_weight_at_each_end(self, passes, p):
+        # s^p at one end beside (1 - s)^(1/2) at the other, through the
+        # reduction the transforms use: two integrate calls
+        one = np.ones_like
+        want = self.beta(p + 1.0, 1.5)
+        assert abs(_power_endpoint_integral(one, p, 0.5) - want) <= 1e-12
+        assert abs(_power_endpoint_integral(one, 0.5, p) - want) <= 1e-12
+        # four integrate calls, at most two passes each
+        assert passes[0] <= 4 * 2
+
+    @pytest.mark.parametrize("p", [0.5, 2.5])
+    def test_power_weight_directly(self, passes, p):
+        want = 1.0 / (p + 1.0)
+        assert abs(integrate(lambda s: s**p, 0.0, 1.0) - want) <= 1e-12
+        assert abs(integrate(lambda s: (1.0 - s) ** p, 0.0, 1.0) - want) <= 1e-12
+        # two integrate calls, at most two passes each
+        assert passes[0] <= 2 * 2
+
+    @pytest.mark.parametrize(
+        "f, lo, hi, want, one_panel_passes",
+        [
+            (lambda x: np.exp(np.sin(7.0 * x)), 0.0, 4.0, 5.387586182854065, 6),
+            (lambda x: np.cos(30.0 * x), 0.0, 20.0, math.sin(600.0) / 30.0, 9),
+        ],
+        ids=["smooth", "wide-oscillatory"],
+    )
+    def test_no_more_passes_than_a_one_panel_start(self, passes, f, lo, hi, want, one_panel_passes):
+        assert integrate(f, lo, hi) == pytest.approx(want, rel=1e-11, abs=1e-11)
+        assert passes[0] <= one_panel_passes
+
+    def test_zero_width_interval(self, passes):
+        assert integrate(np.exp, 1.3, 1.3) == 0.0
+        assert type(integrate(np.exp, 1.3, 1.3)) is float
+        got = integrate(lambda x: np.stack([x, np.exp(x)], axis=1), -2.0, -2.0)
+        assert got.shape == (2,) and np.all(got == 0.0)
+        assert passes[0] == 3
+
+    def test_interval_below_floating_point_resolution(self):
+        # the start mesh collapses to a few distinct edges plus zero-width
+        # panels, which add nothing
+        lo = 1.0
+        hi = np.nextafter(np.nextafter(lo, 2.0), 2.0)
+        assert integrate(lambda x: np.ones_like(x), lo, hi) == pytest.approx(hi - lo, rel=1e-14)
+
+    def test_reversed_limits_negate_exactly(self):
+        f = lambda s: np.sqrt(s) * np.cos(3.0 * s)
+        forward = integrate(f, 0.0, 2.0)
+        assert integrate(f, 2.0, 0.0) == -forward
+        assert integrate(lambda s: s**0.5, 1.0, 0.0) == pytest.approx(-2.0 / 3.0, abs=1e-12)
