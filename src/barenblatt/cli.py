@@ -245,12 +245,13 @@ def _cmd_msd(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    given = {f: getattr(args, f) for f in ("threads", "h_levels") if getattr(args, f) is not None}
+    # a flag the suite does not read would be silently ignored
+    unread = [f for f in given if f not in verify_mod._SUITES[args.suite][1]]
+    if unread:
+        parser.error(f"--{unread[0].replace('_', '-')} is not read by verify {args.suite}")
     report = verify_mod.run_suite(
-        args.suite,
-        seed=args.seed,
-        out_dir=_resolve_path(args.out),
-        threads=args.threads,
-        h_levels=args.h_levels,
+        args.suite, seed=args.seed, out_dir=_resolve_path(args.out), **given
     )
     header, rows = report.table()
     _emit(rows, header, args)
@@ -314,8 +315,8 @@ def _parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=verify_mod.SUITE_NAMES)
     p_verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     p_verify.add_argument("--out", default=None, help="report directory")
-    p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--h-levels", type=int, default=3)
+    p_verify.add_argument("--threads", type=int, default=None)
+    p_verify.add_argument("--h-levels", type=int, default=None)
     return parser
 
 
@@ -336,7 +337,7 @@ def main(argv=None) -> int:
         value = getattr(args, flag, 0)
         if not 0 <= value < 1 << 64:
             parser.error(f"--{flag} must lie in [0, 2**64), got {value}")
-    if getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     handler = {
         "eval": _cmd_eval,

@@ -2,12 +2,12 @@
 d'Alembert formula, plus pointwise checks of the two density
 representations (speed variable in 1d, radius-with-prefactor in d >= 2).
 
-All integrals run through one endpoint-aware reduction: every integrand
-here has the shape s^{p0} (1 - s)^{p1} g(s) on (0, 1) after a power
-substitution, and `_power_endpoint_integral` removes whichever endpoint
-exponent is negative before handing the panel to the adaptive rule.  The
-characteristic functions take a frequency array and integrate all of its
-entries as columns of one vector quadrature.
+Every transform here is an average over a Beta law, and all of them run
+through one primitive, `_beta_mean`: the radius c U^{1/beta} with
+U ~ Beta(d/beta, gamma+1) (d = 1: the speed), the Erdelyi-Kober kernel
+Beta(zeta+1, mu), and the d'Alembert offset ct sqrt(V) with
+V ~ Beta(1/2, xi).  The characteristic functions take a frequency array
+and average all of its entries as columns of one vector quadrature.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import FamilyParams, _check_time, pdf, radial_pdf, support_radius
-from .specfun import bessel_j, beta_fn, integrate, ln_gamma, sphere_surface
+from .family import FamilyParams, _check_time, pdf, support_radius
+from .specfun import bessel_j, beta_fn, integrate, ln_beta, ln_gamma, sphere_surface
 
 __all__ = [
     "EKParams",
@@ -33,42 +33,38 @@ __all__ = [
 ]
 
 
-def _power_endpoint_integral(g, p0: float, p1: float):
-    """Integral of s^{p0} (1-s)^{p1} g(s) over (0, 1) for p0, p1 > -1.
+def _beta_mean(h, a: float, b: float):
+    """E[h(U)] for U ~ Beta(a, b), a, b > 0, from one `integrate` call.
 
-    The interval is split at 1/2 and an endpoint whose exponent is
-    negative (a true integrable singularity) is absorbed by substituting
-    s = w^{1/(1+p)} there, which turns the weight into the constant
-    1/(1+p).  Nonnegative exponents are left to `integrate`, whose start
-    mesh is graded toward both ends.  Like an `integrate` integrand, g may
-    return (n,) or (n, m) values on n nodes; the result is then a float or
-    an (m,) array.
+    The halves u < 1/2 and u > 1/2 sit end to end on x in (0, 2), each
+    parameterised from its outer end by y = min(x, 2 - x):  u = y^{1/qa}/2
+    below 1/2 and 1 - u = y^{1/qb}/2 above, with qa = min(a, 1) and
+    qb = min(b, 1).  An end exponent below 1 is thus absorbed into dy, and
+    a larger one leaves the smooth factor y^{a-1} (y^{b-1}); the start
+    mesh of `integrate` is graded toward x = 0 and 2, which are u = 0 and
+    u = 1.  Density and Jacobian make one exp of a sum of logs, the far
+    factor through log1p, so a large exponent adds no rounding of 1 - u.
+    Like an `integrate` integrand, h may return (n,) or (n, m) values on n
+    nodes; the result is then a float or an (m,) array.
     """
-    if p0 <= -1.0 or p1 <= -1.0:
-        raise ValueError("endpoint exponents must be > -1 for integrability")
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"Beta parameters must be > 0, got a = {a}, b = {b}")
+    ln_b = ln_beta(a, b)
 
-    def weighted(w, s):
-        # w scales each node's row of g(s), however many columns it has
-        return (w * np.asarray(g(s), dtype=float).T).T
+    def weighted(x):
+        left = x < 1.0
+        y = np.where(left, x, 2.0 - x)
+        near, far = np.where(left, a, b), np.where(left, b, a)
+        q = np.minimum(near, 1.0)
+        v = 0.5 * y ** (1.0 / q)
+        ln_w = (
+            -near * math.log(2.0) - np.log(q) + (near / q - 1.0) * np.log(y)
+            + (far - 1.0) * np.log1p(-v) - ln_b
+        )
+        # the weight scales each node's row of h, however many columns
+        return (np.exp(ln_w) * np.asarray(h(np.where(left, v, 1.0 - v)), dtype=float).T).T
 
-    def left(w):
-        s = w ** (1.0 / (1.0 + p0))
-        return weighted((1.0 - s) ** p1 / (1.0 + p0), s)
-
-    def right(w):
-        s = 1.0 - w ** (1.0 / (1.0 + p1))
-        return weighted(s**p0 / (1.0 + p1), s)
-
-    def plain(s):
-        return weighted(s**p0 * (1.0 - s) ** p1, s)
-
-    if p0 < 0.0:
-        total = integrate(left, 0.0, 0.5 ** (1.0 + p0))
-    else:
-        total = integrate(plain, 0.0, 0.5)
-    if p1 < 0.0:
-        return total + integrate(right, 0.0, 0.5 ** (1.0 + p1))
-    return total + integrate(plain, 0.5, 1.0)
+    return integrate(weighted, 0.0, 2.0)
 
 
 def _require_dim(p: FamilyParams, want_1d: bool):
@@ -97,29 +93,23 @@ def _over_xi(cf, xi, nonnegative: bool):
 def char_fn_1d(p: FamilyParams, xi, t):
     """Characteristic function E[cos(xi X(t))] of the d = 1 family member.
 
-    With u = (v/c)^beta the speed average becomes
+    The speed is c Y^{1/beta} with Y ~ Beta(1/beta, gamma+1), so
 
-        (1/B(1/beta, gamma+1)) int_0^1 u^{1/beta - 1} (1-u)^gamma
-                                        cos(a u^{1/beta}) du,
-        a = xi c t^alpha,
+        E[cos(a Y^{1/beta})],   a = xi c t^alpha,
 
-    which is the endpoint-weighted form handled by the shared reduction;
-    the 1/B prefactor sits inside the integrand, so the quadrature
-    tolerance applies to the characteristic function itself.  xi may be
-    an array (one vector quadrature for all entries): scalar in, float
-    out.  Real and even in xi; exactly 1 at xi = 0.
+    a Beta average with no prefactor: the quadrature tolerance applies to
+    the characteristic function itself.  xi may be an array (one vector
+    quadrature for all entries): scalar in, float out.  Real and even in
+    xi; exactly 1 at xi = 0.
     """
     _require_dim(p, want_1d=True)
     t = _check_time(t)
     inv_beta = 1.0 / p.beta_exp
-    scale = 1.0 / beta_fn(inv_beta, p.gamma_exp + 1.0)
 
     def cf(xi):
         a = xi * p.c * t**p.alpha
-        return _power_endpoint_integral(
-            lambda u: scale * np.cos(np.multiply.outer(u**inv_beta, a)),
-            inv_beta - 1.0,
-            p.gamma_exp,
+        return _beta_mean(
+            lambda u: np.cos(np.multiply.outer(u**inv_beta, a)), inv_beta, p.gamma_exp + 1.0
         )
 
     return _over_xi(cf, xi, nonnegative=False)
@@ -152,14 +142,14 @@ def _g_bessel_ratio(mu: float, w):
 def char_fn_radial(p: FamilyParams, xi_norm, t):
     """Characteristic function of the d >= 2 member at frequency radius |xi|.
 
-    The Bessel representation of the rotationally invariant transform,
-    after u = (z/c)^beta and folding the external (2/(c t^alpha |xi|))^mu
-    power into the entire quotient J_mu(w)/(w/2)^mu (mu = d/2 - 1):
+    The radius is c U^{1/beta} with U ~ Beta(d/beta, gamma+1), and the
+    average of cos over the uniform direction folds the external
+    (2/(c t^alpha |xi|))^mu power into the entire quotient
+    J_mu(w)/(w/2)^mu (mu = d/2 - 1):
 
-        Gamma(d/2)/B(d/beta, gamma+1) *
-            int_0^1 u^{d/beta - 1} (1-u)^gamma g_mu(a u^{1/beta}) du,
+        Gamma(d/2) E[g_mu(a U^{1/beta})],   a = |xi| c t^alpha,
 
-    a = |xi| c t^alpha, with the prefactor inside the integrand.  xi_norm
+    with the Gamma(d/2) = 1/g_mu(0) factor inside the integrand.  xi_norm
     may be an array (one vector quadrature): scalar in, float out.  This
     form has no 0/0 at xi = 0 and equals 1 there.
     """
@@ -167,14 +157,14 @@ def char_fn_radial(p: FamilyParams, xi_norm, t):
     t = _check_time(t)
     mu = 0.5 * p.d - 1.0
     inv_beta = 1.0 / p.beta_exp
-    scale = math.exp(ln_gamma(0.5 * p.d)) / beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)
+    scale = math.exp(ln_gamma(0.5 * p.d))
 
     def cf(xi):
         a = xi * p.c * t**p.alpha
-        return _power_endpoint_integral(
+        return _beta_mean(
             lambda u: scale * _g_bessel_ratio(mu, np.multiply.outer(u**inv_beta, a)),
-            p.d / p.beta_exp - 1.0,
-            p.gamma_exp,
+            p.d / p.beta_exp,
+            p.gamma_exp + 1.0,
         )
 
     return _over_xi(cf, xi_norm, nonnegative=True)
@@ -206,26 +196,28 @@ def _mean_cos_projection(d: int, a):
 def char_fn_projection(p: FamilyParams, xi_norm, t):
     """Characteristic function via the radius-times-projection average.
 
-    Outer adaptive quadrature over the speed-scale radial density (the
-    radial law at t = 1), inner fixed-rule average of cos over the
-    projection factor:  E[cos(|xi| U W t^alpha)].  Independent route from
-    char_fn_radial; their agreement is the computable content of the
+    The same Beta average over the radius c U^{1/beta},
+    U ~ Beta(d/beta, gamma+1), as char_fn_radial, with the inner average
+    of cos over the projection factor W taken by the fixed 64-node rule:
+    E[cos(|xi| t^alpha c U^{1/beta} W)].  The route is independent of
+    char_fn_radial in that inner average (projection rule against the
+    Bessel quotient); their agreement is the computable content of the
     product representation.  xi_norm may be an array (one vector
     quadrature): scalar in, float out.  c |xi| t^alpha > 60 raises.
     """
     _require_dim(p, want_1d=False)
     t = _check_time(t)
+    inv_beta = 1.0 / p.beta_exp
 
     def cf(xi):
-        scale = xi * t**p.alpha
-        a_max = p.c * float(np.max(scale))
+        a = xi * p.c * t**p.alpha
+        a_max = float(np.max(a))
         if a_max > 60.0:
             raise ValueError(f"char_fn_projection needs c |xi| t^alpha <= 60, got {a_max:.6g}")
-        return integrate(
-            lambda v: radial_pdf(p, v, 1.0)[:, None]
-            * _mean_cos_projection(p.d, np.multiply.outer(v, scale)),
-            0.0,
-            p.c,
+        return _beta_mean(
+            lambda u: _mean_cos_projection(p.d, np.multiply.outer(u**inv_beta, a)),
+            p.d / p.beta_exp,
+            p.gamma_exp + 1.0,
         )
 
     return _over_xi(cf, xi_norm, nonnegative=True)
@@ -257,36 +249,39 @@ def ek_integral(ek: EKParams, f, x) -> float:
         eta x^{-eta(mu+zeta)}/Gamma(mu) int_0^x tau^{eta(zeta+1)-1}
             (x^eta - tau^eta)^{mu-1} f(tau) dtau
 
-    cancels every power of x and leaves the weighted unit-interval form
+    cancels every power of x and leaves the Beta average
 
-        (1/Gamma(mu)) int_0^1 s^zeta (1-s)^{mu-1} f(x s^{1/eta}) ds,
+        Gamma(zeta+1)/Gamma(zeta+mu+1) E[f(x U^{1/eta})],
+            U ~ Beta(zeta+1, mu),
 
     so one routine covers all (zeta, mu, eta), including the singular
-    endpoints zeta < 0 and mu < 1.  For f = 1 the value is
-    Gamma(zeta+1)/Gamma(zeta+mu+1), independent of x and eta.
+    endpoints zeta < 0 and mu < 1.  For f = 1 the value is the prefactor,
+    independent of x and eta.  Prefactor and average are multiplied in
+    logs, so a value that is a float comes out even where the prefactor
+    alone is not (mu beyond about 171).
     """
     x = float(x)
     if x <= 0.0:
         raise ValueError(f"x must be > 0, got {x}")
     inv_eta = 1.0 / ek.eta
-    val = _power_endpoint_integral(
-        lambda s: np.asarray(f(x * s**inv_eta), dtype=float),
-        ek.zeta,
-        ek.mu - 1.0,
-    )
-    return val / math.exp(ln_gamma(ek.mu))
+    mean = _beta_mean(lambda s: np.asarray(f(x * s**inv_eta), dtype=float), ek.zeta + 1.0, ek.mu)
+    if mean == 0.0:
+        return 0.0
+    ln_pref = ln_gamma(ek.zeta + 1.0) - ln_gamma(ek.zeta + ek.mu + 1.0)
+    return math.copysign(math.exp(ln_pref + math.log(abs(mean))), mean)
 
 
 def epd_dalembert_1d(f, xi_param, c, x, t) -> float:
     """Singular-damped d'Alembert average
 
         u(x,t) = 2/B(xi,1/2) int_0^1 (1-y^2)^{xi-1}
-                 [f(x+yct) + f(x-yct)]/2 dy,
+                 [f(x+yct) + f(x-yct)]/2 dy
+               = E[(f(x + ct sqrt(V)) + f(x - ct sqrt(V)))/2],
+                 V ~ Beta(1/2, xi)   (V = y^2),
 
     the solution with u(x,0) = f and u_t(x,0) = 0 of the wave equation
-    with damping coefficient 2 xi / t.  The y = 1 endpoint is singular
-    for xi < 1 and is handled by the shared endpoint reduction (weight
-    (1-y)^{xi-1} (1+y)^{xi-1}).  At t = 0 the average collapses to f(x).
+    with damping coefficient 2 xi / t.  At t = 0 the average collapses to
+    f(x).
     """
     xi_param = float(xi_param)
     if xi_param <= 0.0:
@@ -297,15 +292,11 @@ def epd_dalembert_1d(f, xi_param, c, x, t) -> float:
     if t == 0.0:
         return float(f(np.asarray(x)))
 
-    def g(y):
-        y = np.asarray(y, dtype=float)
-        shift = y * c * t
-        left = np.asarray(f(x + shift), dtype=float)
-        right = np.asarray(f(x - shift), dtype=float)
-        return (1.0 + y) ** (xi_param - 1.0) * 0.5 * (left + right)
+    def g(v):
+        shift = np.sqrt(v) * c * t
+        return 0.5 * (np.asarray(f(x + shift), dtype=float) + np.asarray(f(x - shift), dtype=float))
 
-    val = _power_endpoint_integral(g, 0.0, xi_param - 1.0)
-    return 2.0 / beta_fn(xi_param, 0.5) * val
+    return _beta_mean(g, 0.5, xi_param)
 
 
 def velocity_representation_residual(p: FamilyParams, x, t):

@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -604,11 +605,18 @@ FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]
         ["eval", *FAMILY_FLAGS, "--d", "1", "--p", "3", "--nu", "2", "--grid=0:1:2"],
         ["verify", "presets", "--threads", "0"],
         ["verify", "sampling", "--threads", "-1"],
+        ["verify", "presets", "--h-levels", "1"],
+        ["verify", "presets", "--h-levels", "0"],
+        ["verify", "presets", "--threads", "4"],
+        ["verify", "pde", "--threads", "1"],
+        ["verify", "sampling", "--h-levels", "3"],
     ],
     ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308",
          "seed-negative", "seed-2**64", "stream-negative", "stream-2**64", "verify-seed-negative",
          "projection-beyond-rule", "wigner-unread-c-d", "zkb-unread-nu", "explicit-unread-p-nu",
-         "threads-0", "threads-negative"],
+         "threads-0", "threads-negative", "presets-unread-h-levels-1",
+         "presets-unread-h-levels-0", "presets-unread-threads", "pde-unread-threads",
+         "sampling-unread-h-levels"],
 )
 def test_usage_error_exits_two(argv):
     # refused input: exit 2, one error line, nothing on stdout, no traceback
@@ -624,18 +632,21 @@ def test_usage_error_exits_two(argv):
     assert proc.stderr.splitlines()[-1].startswith("barenblatt: error: ")
 
 
-# 3e7 concentrates the weight where (1 - s)^gamma is rounding noise, so the
-# error estimate cannot fall below the tolerance
-QUADRATURE_FAILURE = ["ft", "--alpha", "0.5", "--beta", "2", "--gamma", "3e7", "--c", "1",
-                      "--d", "1", "--grid=0:2:3"]
+# gamma = 3e7 concentrates the speed law near 0, yet the Beta weight of
+# the scalar route stays exact, so the values come out right
+CONCENTRATED = ["ft", "--alpha", "0.5", "--beta", "2", "--gamma", "3e7", "--c", "1",
+                "--d", "1", "--grid=0:2:3"]
 
 
-def test_quadrature_failure_exits_one(capsys):
-    code = main(QUADRATURE_FAILURE)
-    out, err = capsys.readouterr()
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("barenblatt: error: ") and " on [0.0, " in err
+def test_concentrated_member_exits_zero(capsys):
+    # at beta = 2 the cf is 0F1(; gamma + 3/2; -xi^2/4)
+    code, out = run_cli(capsys, *CONCENTRATED)
+    assert code == 0
+    rows = rows_of(out)
+    assert rows[0] == ["xi", "t", "cf"] and len(rows) == 4
+    for xi, _, cf in rows[1:]:
+        want = float(mpmath.hyp0f1(3e7 + 1.5, -0.25 * float(xi) ** 2))
+        assert abs(float(cf) - want) <= 1e-11
 
 
 def test_any_quadrature_failure_exits_one(capsys, monkeypatch):
@@ -651,9 +662,22 @@ def test_any_quadrature_failure_exits_one(capsys, monkeypatch):
     assert err.startswith("barenblatt: error: 4000 subdivisions exhausted on [0.0, ")
 
 
+# a fresh process in which every integral of the transforms raises
+FAILING_QUADRATURE = """
+import sys
+from barenblatt import cli, specfun, transforms
+
+def fail(f, lo, hi):
+    raise specfun.QuadratureError(f"4000 subdivisions exhausted on [{lo!r}, {hi!r}]")
+
+transforms.integrate = fail
+sys.exit(cli.main(["ft", "--preset", "wigner", "--grid", "0:1:3"]))
+"""
+
+
 def test_quadrature_failure_in_a_subprocess():
     proc = subprocess.run(
-        [sys.executable, "-m", "barenblatt", *QUADRATURE_FAILURE],
+        [sys.executable, "-c", FAILING_QUADRATURE],
         capture_output=True,
         text=True,
         env=package_env(),
@@ -662,6 +686,7 @@ def test_quadrature_failure_in_a_subprocess():
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("barenblatt: error: 4000 subdivisions exhausted on [")
 
 
 # one request per kind of path through main: a table, a usage error, draws

@@ -1,8 +1,10 @@
 """Tests for characteristic functions, Erdelyi-Kober integrals, the damped
 d'Alembert average, and the density-representation residual checks."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,8 @@ from barenblatt.transforms import (
     radial_prefactor_report,
     velocity_representation_residual,
     _g_bessel_ratio,
+    _beta_mean,
     _mean_cos_projection,
-    _power_endpoint_integral,
 )
 
 # Reference values computed with mpmath at 34 significant digits.
@@ -54,36 +56,40 @@ MEMBERS_1D = [
 ]
 
 
-class TestPowerEndpointIntegral:
-    def test_beta_function_all_exponent_signs(self):
-        # with g = 1 the helper must reproduce B(p0+1, p1+1) through every
-        # combination of singular / regular endpoints
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        for p0 in (-0.9, -0.3, 0.0, 1.7):
-            for p1 in (-0.7, -0.5, 0.0, 2.4):
-                want = math.exp(
-                    math.lgamma(p0 + 1.0)
-                    + math.lgamma(p1 + 1.0)
-                    - math.lgamma(p0 + p1 + 2.0)
-                )
-                got = _power_endpoint_integral(one, p0, p1)
-                assert got == pytest.approx(want, rel=1e-11)
+def one(s):
+    return np.ones_like(np.asarray(s, dtype=float))
+
+
+def beta_moment(a, b, k):
+    # E[U^k] = B(a+k, b)/B(a, b) for U ~ Beta(a, b)
+    return math.exp(math.lgamma(a + k) + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(a + b + k))
+
+
+class TestBetaMean:
+    def test_moments_all_end_exponents(self):
+        # E[1] = 1 and E[U^k] = B(a+k, b)/B(a, b) through every combination
+        # of singular (< 1) and regular end exponents, including the grid
+        # (-0.9, -0.3, 0, 1.7) x (-0.7, -0.5, 0, 2.4) of a - 1 and b - 1
+        shapes = set(itertools.product((0.1, 0.5, 1.0, 2.7), repeat=2))
+        shapes |= set(itertools.product((0.1, 0.7, 1.0, 2.7), (0.3, 0.5, 1.0, 3.4)))
+        for a, b in sorted(shapes):
+            assert _beta_mean(one, a, b) == pytest.approx(1.0, rel=1e-12)
+            for k in (1.0, 2.5):
+                assert _beta_mean(lambda u: u**k, a, b) == pytest.approx(beta_moment(a, b, k), rel=1e-12)
 
     def test_columns_equal_separate_calls(self):
         ks = np.array([0.5, 7.0, 19.0])
-        for p0, p1 in [(-0.5, 1.5), (0.3, -0.6)]:
-            got = _power_endpoint_integral(lambda s: np.cos(np.multiply.outer(s, ks)), p0, p1)
+        for a, b in [(0.5, 2.5), (1.3, 0.4)]:
+            got = _beta_mean(lambda s: np.cos(np.multiply.outer(s, ks)), a, b)
             assert got.shape == (3,)
             for k, val in zip(ks, got):
-                alone = _power_endpoint_integral(lambda s: np.cos(k * s), p0, p1)
+                alone = _beta_mean(lambda s: np.cos(k * s), a, b)
                 assert val == pytest.approx(alone, abs=1e-12)
 
-    def test_rejects_non_integrable_exponents(self):
-        one = lambda s: np.ones_like(np.asarray(s, dtype=float))
-        with pytest.raises(ValueError):
-            _power_endpoint_integral(one, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            _power_endpoint_integral(one, 0.0, -1.2)
+    def test_rejects_non_positive_parameters(self):
+        for a, b in [(0.0, 1.0), (1.0, -0.2), (-1.0, 1.0), (math.nan, 1.0)]:
+            with pytest.raises(ValueError):
+                _beta_mean(one, a, b)
 
 
 class TestCharFn1d:
@@ -525,6 +531,60 @@ class TestCharFnArrays:
         s = 2.0 * xi * math.sqrt(1.3)
         got = char_fn_1d(wigner(), xi, 1.3)
         assert np.max(np.abs(got - 2.0 * special.j1(s) / s)) <= 1e-11
+
+
+class TestWholeAcceptedRange:
+    """Closed forms at the ends of the gamma, mu and xi ranges the API
+    accepts, where the Beta weight concentrates or its prefactor leaves
+    the float range."""
+
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3, 1e6, 1e7, 1e8])
+    def test_beta_two_members_against_0f1(self, gamma, d):
+        # beta = 2: E[cos(xi X)] = 0F1(; nu + 1; -(xi c)^2/4), nu = d/2 + gamma,
+        # at t = 1.  The radial route stops at d = 12 because bessel_j is
+        # wrong from order 8 on; the projection route needs xi c <= 60
+        p = new_family(0.5, 2.0, gamma, 1.0, d)
+        nu = 0.5 * d + gamma
+        routes = [(char_fn_1d if d == 1 else char_fn_radial, [0.5 * nu**0.5, nu**0.5, 3.0 * nu**0.5])]
+        if d > 1:
+            routes.append((char_fn_projection, [1.0, 10.0, 60.0]))
+        for fn, xi in routes:
+            want = [float(mpmath.hyp0f1(nu + 1.0, -0.25 * x * x)) for x in xi]
+            assert np.max(np.abs(fn(p, np.array(xi), 1.0) - want)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "zeta, mu, eta, x, k",
+        [(-0.999, 172.0, 1.0, 1e100, 1.0), (-0.999, 172.0, 2.0, 1e50, 2.0), (0.0, 200.0, 1.0, 1e300, 1.0)],
+    )
+    def test_ek_past_gamma_overflow(self, zeta, mu, eta, x, k):
+        # Gamma(mu) overflows, and at mu = 200 Gamma(zeta+1)/Gamma(zeta+mu+1)
+        # underflows, but the value x^k Gamma(zeta+1+k/eta)/Gamma(zeta+mu+1+k/eta)
+        # is a normal float
+        got = ek_integral(EKParams(zeta, mu, eta), lambda s: np.asarray(s) ** k, x)
+        want = math.exp(
+            k * math.log(x) + math.lgamma(zeta + 1.0 + k / eta) - math.lgamma(zeta + mu + 1.0 + k / eta)
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_ek_at_mu_1e3(self):
+        # Gamma(zeta+1)/Gamma(zeta+mu+1) is below e^-5000 at mu = 1e3, so for
+        # any f bounded by the largest float the value underflows to 0; the
+        # average behind it, E[U^{k/eta}] = B(zeta+1+k/eta, mu)/B(zeta+1, mu),
+        # is a normal float
+        zeta, mu, eta, k = 0.5, 1e3, 1.5, 3.0
+        got = ek_integral(EKParams(zeta, mu, eta), lambda s: np.asarray(s) ** k, 2.0)
+        assert got == 0.0
+        want = beta_moment(zeta + 1.0, mu, k / eta)
+        assert _beta_mean(lambda u: u ** (k / eta), zeta + 1.0, mu) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("xi_param", [0.05, 1.5, 40.0, 1e4])
+    def test_dalembert_cosine_against_0f1(self, xi_param):
+        # f = cos(k .): u = cos(k x) 0F1(; xi + 1/2; -(k c t)^2/4)
+        k, c, x, t = 1.7, 1.3, 0.4, 0.9
+        got = epd_dalembert_1d(lambda s: np.cos(k * np.asarray(s)), xi_param, c, x, t)
+        want = math.cos(k * x) * float(mpmath.hyp0f1(xi_param + 0.5, -0.25 * (k * c * t) ** 2))
+        assert abs(got - want) <= 1e-12
 
 
 NON_FINITE_OR_ZERO_T = [math.nan, math.inf, 0.0]
