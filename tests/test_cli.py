@@ -550,9 +550,22 @@ def test_stdout_read_to_end_matches_output_file(tmp_path, mode, argv, large):
          "fa8db3ac8b9058b2f2fd2ea17292175826efd1c52b453aa2d4dc02e23c162478"),
         (["msd", *D3_FLAGS, "--grid", "0.5:4:50", "--format", "json"],
          "ce6bdba5b2e51bafa3a1575faa89aeb7c071ce659035626e5db38106fe730f7f"),
+        # the three characteristic-function routes; no d >= 16 member, whose
+        # bessel_j orders are known to be wrong
+        (["ft", *D1_FLAGS, "--t", "1.1", "--grid=-20:20:401"],
+         "36230a1227f5de7c2a069b8941bb253f31a60ee9c9fbf6b4977fdf35fef0ba1e"),
+        (["ft", *D3_FLAGS, "--t", "0.9", "--grid=0:20:400"],
+         "ea95bf236a211ec823c3a87c0e6512cc926f577378c96f63ae17620bc8ec94a1"),
+        (["ft", "--alpha", "0.5", "--beta", "2", "--gamma", "2", "--c", "1", "--d", "12",
+          "--t", "1.2", "--grid=0:20:400", "--format", "json"],
+         "6d23edc045935d4b355f353b3707d58ea65d1d74f4390fd601eed69110037ac9"),
+        (["ft", "--kind", "projection", "--alpha", "0.5", "--beta", "2", "--gamma", "1",
+          "--c", "1.5", "--d", "2", "--t", "1.05", "--grid=0:10:200"],
+         "77c9b8a9455bd88c755f165f127f4aaa4083ad85fbd27f8b429cad724970c122"),
     ],
     ids=["sample-wigner-csv", "sample-d3-json", "eval-d1-cdf",
-         "sample-d1-json", "eval-d3-json", "msd-d3-csv", "msd-d3-json"],
+         "sample-d1-json", "eval-d3-json", "msd-d3-csv", "msd-d3-json",
+         "ft-d1-csv", "ft-d3-csv", "ft-d12-json", "ft-projection-d2-csv"],
 )
 def test_pinned_output_bytes(tmp_path, argv, digest):
     # SHA-256 of outputs: the eval and msd digests were written before the
