@@ -72,9 +72,7 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
         raise ValueError(f"gamma_exp must lie in (0, {_GAMMA_MAX:g}], got {gamma_exp}")
     if c <= 0.0 or not math.isfinite(c):
         raise ValueError(f"c must be > 0, got {c}")
-    if int(d) != d or int(d) < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d}")
-    d = int(d)
+    d = _check_dim(d)
     with np.errstate(over="ignore", invalid="ignore"):
         ln_c = (
             math.log(beta_exp)
@@ -99,6 +97,13 @@ def _check_time(t) -> float:
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"t must be finite and > 0, got {t}")
     return t
+
+
+def _check_dim(d) -> int:
+    """d as an int >= 1; a non-integer d is refused, not truncated."""
+    if int(d) != d or int(d) < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d}")
+    return int(d)
 
 
 def support_radius(p: FamilyParams, t) -> float:

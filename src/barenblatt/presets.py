@@ -37,8 +37,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .family import FamilyParams, new_family
-from .specfun import _ln_gamma_signed, beta_fn, ln_gamma, sphere_surface
+from .family import FamilyParams, _check_dim, new_family
+from .specfun import _ln_gamma_signed, ln_beta, ln_gamma, ln_sphere
 
 __all__ = [
     "PLEParams",
@@ -119,11 +119,9 @@ def ple_preset(p: float, d: int):
     which is flagged as near-degenerate.
     """
     p = float(p)
-    d = int(d)
     if not (p > 2.0):
         raise ValueError(f"p must be > 2, got {p}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_dim(d)
     beta_exp = p / (p - 1.0)
     gamma_exp = (p - 1.0) / (p - 2.0)
     if gamma_exp > 100.0:
@@ -136,10 +134,7 @@ def ple_preset(p: float, d: int):
     q = ((p - 2.0) / p) * (k / d) ** (1.0 / (p - 1.0))
     a = d / beta_exp
     ln_fc = (
-        math.log(beta_exp)
-        + a * math.log(q)
-        - math.log(sphere_surface(d))
-        - math.log(beta_fn(a, gamma_exp + 1.0))
+        math.log(beta_exp) + a * math.log(q) - ln_sphere(d) - ln_beta(a, gamma_exp + 1.0)
     ) / (gamma_exp + a)
     frak_c = math.exp(ln_fc)
     c = (frak_c / q) ** (1.0 / beta_exp)
@@ -159,13 +154,11 @@ def npme_preset(m: float, nu: float, d: int):
     """
     m = float(m)
     nu = float(nu)
-    d = int(d)
     if not (m > 1.0):
         raise ValueError(f"m must be > 1, got {m}")
     if not (0.0 < nu <= 2.0):
         raise ValueError(f"nu must be in (0, 2], got {nu}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_dim(d)
     alpha = 1.0 / (d * (m - 1.0) + nu)
     gamma_exp = nu / (2.0 * (m - 1.0))
     ln_k = (
@@ -211,13 +204,11 @@ def epd_preset(nu: float, c: float, d: int):
     """
     nu = float(nu)
     c = float(c)
-    d = int(d)
     if not (nu > 1.0):
         raise ValueError(f"nu must be > 1, got {nu}")
     if not (c > 0.0):
         raise ValueError(f"c must be > 0, got {c}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_dim(d)
     fam = new_family(1.0, 2.0, nu - 1.0, c, d)
     closed = math.exp(
         ln_gamma(nu + 0.5 * d)
@@ -250,20 +241,13 @@ def zkb_source_preset(m: float, d: int) -> FamilyParams:
     construction and are what the PDE residual suite certifies.
     """
     m = float(m)
-    d = int(d)
     if not (m > 1.0):
         raise ValueError(f"m must be > 1, got {m}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_dim(d)
     gamma_exp = 1.0 / (m - 1.0)
     alpha = 1.0 / (d * (m - 1.0) + 2.0)
     ln_c = (
-        (m - 1.0)
-        * (
-            math.log(2.0)
-            - math.log(sphere_surface(d))
-            - math.log(beta_fn(0.5 * d, gamma_exp + 1.0))
-        )
+        (m - 1.0) * (math.log(2.0) - ln_sphere(d) - ln_beta(0.5 * d, gamma_exp + 1.0))
         + math.log(2.0 / alpha)
     ) / (d * (m - 1.0) + 2.0)
     return new_family(alpha, 2.0, gamma_exp, math.exp(ln_c), d)

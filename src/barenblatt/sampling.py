@@ -163,10 +163,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        # a float or bool key would otherwise name the stream of its int()
+        self.seed = _count("seed", seed)
+        self.stream_id = _count("stream_id", stream_id)
         for name, v in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not 0 <= v <= _MASK64:
+            if v > _MASK64:
                 raise ValueError(f"{name} must lie in [0, 2**64), got {v}")
         # an explicit uint64 key: a list of Python ints would pass ids
         # >= 2**53 through float64 and drop their low bits
@@ -214,9 +215,7 @@ class RngStream:
 
     def substream(self, k: int) -> "RngStream":
         """Independent child stream number k (pure; no state consumed)."""
-        if k < 0:
-            raise ValueError("substream index must be >= 0")
-        return RngStream(self.seed, _child_id(self.stream_id, int(k)))
+        return RngStream(self.seed, _child_id(self.stream_id, _count("substream index", k)))
 
     def spawn(self) -> "RngStream":
         """Next child stream; the k-th spawn equals substream(k)."""

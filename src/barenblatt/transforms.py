@@ -2,12 +2,12 @@
 d'Alembert formula, plus pointwise checks of the two density
 representations (speed variable in 1d, radius-with-prefactor in d >= 2).
 
-Every transform here is an average over a Beta law, and all of them run
-through one primitive, `_beta_mean`: the radius c U^{1/beta} with
-U ~ Beta(d/beta, gamma+1) (d = 1: the speed), the Erdelyi-Kober kernel
-Beta(zeta+1, mu), and the d'Alembert offset ct sqrt(V) with
-V ~ Beta(1/2, xi).  The characteristic functions take a frequency array
-and average all of its entries as columns of one vector quadrature.
+Every transform here is an average over a Beta law from one primitive,
+`_beta_mean`: the Erdelyi-Kober kernel Beta(zeta+1, mu), the d'Alembert
+offset ct sqrt(V), V ~ Beta(1/2, xi), and, in the one pipeline `_char_fn`,
+the radius c t^alpha U^{1/beta}, U ~ Beta(d/beta, gamma+1), of X(t).  The
+three characteristic-function routes differ only in the direction kernel
+E[cos(w Theta_1)], Theta uniform: cos, the Bessel quotient, a 64-node rule.
 """
 
 from __future__ import annotations
@@ -74,45 +74,45 @@ def _require_dim(p: FamilyParams, want_1d: bool):
         raise ValueError(f"operation requires d >= 2, got d = {p.d}")
 
 
-def _over_xi(cf, xi, nonnegative: bool):
-    """cf(1-d array of the nonzero frequencies) spread back over the shape
-    of xi, with exactly 1.0 at xi = 0.  Scalar in, float out."""
+def _char_fn(p: FamilyParams, xi, t, kernel, a_max=math.inf):
+    """E[kernel(a U^{1/beta})], a = xi c t^alpha, U ~ Beta(d/beta, gamma+1).
+
+    kernel is the route's direction kernel on a (nodes, columns) array.
+    The nonzero entries of xi (finite; >= 0 for d >= 2) are the columns of
+    one `_beta_mean` call, and xi = 0 gives exactly 1.  Scalar in, float out.
+    """
+    t = _check_time(t)
     arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("xi must be finite")
-    if nonnegative and np.any(arr < 0.0):
+    if p.d >= 2 and np.any(arr < 0.0):
         raise ValueError("xi_norm must be >= 0")
-    flat = arr.ravel()
-    out = np.ones(flat.shape)
-    nonzero = flat != 0.0
+    out = np.ones(arr.shape)
+    nonzero = arr != 0.0
     if nonzero.any():
-        out[nonzero] = cf(flat[nonzero])
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        a = arr[nonzero] * p.c * t**p.alpha
+        if np.max(a) > a_max:  # only the projection route bounds a
+            raise ValueError(
+                f"char_fn_projection needs c |xi| t^alpha <= {a_max:g}, got {np.max(a):.6g}"
+            )
+        inv_beta = 1.0 / p.beta_exp
+        out[nonzero] = _beta_mean(
+            lambda u: kernel(np.multiply.outer(u**inv_beta, a)), p.d / p.beta_exp, p.gamma_exp + 1.0
+        )
+    return float(out) if arr.ndim == 0 else out
 
 
 def char_fn_1d(p: FamilyParams, xi, t):
     """Characteristic function E[cos(xi X(t))] of the d = 1 family member.
 
-    The speed is c Y^{1/beta} with Y ~ Beta(1/beta, gamma+1), so
-
-        E[cos(a Y^{1/beta})],   a = xi c t^alpha,
-
-    a Beta average with no prefactor: the quadrature tolerance applies to
-    the characteristic function itself.  xi may be an array (one vector
-    quadrature for all entries): scalar in, float out.  Real and even in
+    `_char_fn` with kernel cos: E[cos(a Y^{1/beta})], a = xi c t^alpha,
+    Y ~ Beta(1/beta, gamma+1), with no prefactor, so the quadrature
+    tolerance applies to the characteristic function itself.  xi may be an
+    array (one vector quadrature): scalar in, float out.  Real and even in
     xi; exactly 1 at xi = 0.
     """
     _require_dim(p, want_1d=True)
-    t = _check_time(t)
-    inv_beta = 1.0 / p.beta_exp
-
-    def cf(xi):
-        a = xi * p.c * t**p.alpha
-        return _beta_mean(
-            lambda u: np.cos(np.multiply.outer(u**inv_beta, a)), inv_beta, p.gamma_exp + 1.0
-        )
-
-    return _over_xi(cf, xi, nonnegative=False)
+    return _char_fn(p, xi, t, np.cos)
 
 
 def _g_bessel_ratio(mu: float, w):
@@ -142,32 +142,16 @@ def _g_bessel_ratio(mu: float, w):
 def char_fn_radial(p: FamilyParams, xi_norm, t):
     """Characteristic function of the d >= 2 member at frequency radius |xi|.
 
-    The radius is c U^{1/beta} with U ~ Beta(d/beta, gamma+1), and the
-    average of cos over the uniform direction folds the external
-    (2/(c t^alpha |xi|))^mu power into the entire quotient
-    J_mu(w)/(w/2)^mu (mu = d/2 - 1):
-
-        Gamma(d/2) E[g_mu(a U^{1/beta})],   a = |xi| c t^alpha,
-
-    with the Gamma(d/2) = 1/g_mu(0) factor inside the integrand.  xi_norm
-    may be an array (one vector quadrature): scalar in, float out.  This
-    form has no 0/0 at xi = 0 and equals 1 there.
+    `_char_fn` with kernel Gamma(d/2) J_mu(w)/(w/2)^mu (mu = d/2 - 1): the
+    direction average of cos as an entire quotient, with the
+    Gamma(d/2) = 1/g_mu(0) factor, so there is no 0/0 at xi = 0, where the
+    value is 1.  xi_norm may be an array (one vector quadrature): scalar
+    in, float out.
     """
     _require_dim(p, want_1d=False)
-    t = _check_time(t)
     mu = 0.5 * p.d - 1.0
-    inv_beta = 1.0 / p.beta_exp
     scale = math.exp(ln_gamma(0.5 * p.d))
-
-    def cf(xi):
-        a = xi * p.c * t**p.alpha
-        return _beta_mean(
-            lambda u: scale * _g_bessel_ratio(mu, np.multiply.outer(u**inv_beta, a)),
-            p.d / p.beta_exp,
-            p.gamma_exp + 1.0,
-        )
-
-    return _over_xi(cf, xi_norm, nonnegative=True)
+    return _char_fn(p, xi_norm, t, lambda w: scale * _g_bessel_ratio(mu, w))
 
 
 _GL64_T, _GL64_W = np.polynomial.legendre.leggauss(64)
@@ -196,49 +180,30 @@ def _mean_cos_projection(d: int, a):
 def char_fn_projection(p: FamilyParams, xi_norm, t):
     """Characteristic function via the radius-times-projection average.
 
-    The same Beta average over the radius c U^{1/beta},
-    U ~ Beta(d/beta, gamma+1), as char_fn_radial, with the inner average
-    of cos over the projection factor W taken by the fixed 64-node rule:
-    E[cos(|xi| t^alpha c U^{1/beta} W)].  The route is independent of
-    char_fn_radial in that inner average (projection rule against the
-    Bessel quotient); their agreement is the computable content of the
-    product representation.  xi_norm may be an array (one vector
-    quadrature): scalar in, float out.  c |xi| t^alpha > 60 raises.
+    `_char_fn` with kernel E[cos(w W)], W the projection factor, on the
+    fixed 64-node rule: the pipeline of char_fn_radial with another
+    kernel, and their agreement is the computable content of the product
+    representation.  xi_norm may be an array (one vector quadrature):
+    scalar in, float out.  c |xi| t^alpha > 60 raises.
     """
     _require_dim(p, want_1d=False)
-    t = _check_time(t)
-    inv_beta = 1.0 / p.beta_exp
-
-    def cf(xi):
-        a = xi * p.c * t**p.alpha
-        a_max = float(np.max(a))
-        if a_max > 60.0:
-            raise ValueError(f"char_fn_projection needs c |xi| t^alpha <= 60, got {a_max:.6g}")
-        return _beta_mean(
-            lambda u: _mean_cos_projection(p.d, np.multiply.outer(u**inv_beta, a)),
-            p.d / p.beta_exp,
-            p.gamma_exp + 1.0,
-        )
-
-    return _over_xi(cf, xi_norm, nonnegative=True)
+    return _char_fn(p, xi_norm, t, lambda w: _mean_cos_projection(p.d, w), a_max=60.0)
 
 
 @dataclass(frozen=True)
 class EKParams:
-    """Erdelyi-Kober integral parameters: order mu > 0, power eta > 0,
-    shift zeta > -1 (integrability of the reduced weight at 0)."""
+    """Erdelyi-Kober integral parameters, all finite: order mu > 0, power
+    eta > 0, shift zeta > -1 (integrability of the reduced weight at 0)."""
 
     zeta: float
     mu: float
     eta: float
 
     def __post_init__(self):
-        if not (self.mu > 0.0):
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not (self.zeta > -1.0):
-            raise ValueError(f"zeta must be > -1, got {self.zeta}")
+        for name, low in (("mu", 0.0), ("eta", 0.0), ("zeta", -1.0)):
+            v = getattr(self, name)
+            if not (low < v < math.inf):
+                raise ValueError(f"{name} must be finite and > {low:g}, got {v}")
 
 
 def ek_integral(ek: EKParams, f, x) -> float:
@@ -261,8 +226,8 @@ def ek_integral(ek: EKParams, f, x) -> float:
     alone is not (mu beyond about 171).
     """
     x = float(x)
-    if x <= 0.0:
-        raise ValueError(f"x must be > 0, got {x}")
+    if not (0.0 < x < math.inf):
+        raise ValueError(f"x must be finite and > 0, got {x}")
     inv_eta = 1.0 / ek.eta
     mean = _beta_mean(lambda s: np.asarray(f(x * s**inv_eta), dtype=float), ek.zeta + 1.0, ek.mu)
     if mean == 0.0:
@@ -283,12 +248,12 @@ def epd_dalembert_1d(f, xi_param, c, x, t) -> float:
     with damping coefficient 2 xi / t.  At t = 0 the average collapses to
     f(x).
     """
-    xi_param = float(xi_param)
-    if xi_param <= 0.0:
-        raise ValueError(f"xi_param must be > 0, got {xi_param}")
-    c = float(c)
-    x = float(x)
-    t = float(t)
+    xi_param, c, x, t = float(xi_param), float(c), float(x), float(t)
+    if not (0.0 < xi_param < math.inf):
+        raise ValueError(f"xi_param must be finite and > 0, got {xi_param}")
+    for name, v in (("c", c), ("x", x), ("t", t)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if t == 0.0:
         return float(f(np.asarray(x)))
 

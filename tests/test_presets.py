@@ -331,3 +331,34 @@ class TestZkbSourcePreset:
             zkb_source_preset(1.0, 1)
         with pytest.raises(ValueError):
             zkb_source_preset(2.0, 0)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(ple_preset, (3.0, 2.5)), (zkb_source_preset, (2.0, 1.7)),
+     (npme_preset, (2.0, 1.0, 3.9)), (epd_preset, (3.0, 1.0, 2.2))],
+)
+def test_non_integer_dimension_refused(make, args):
+    # int() used to truncate these to d = 2, 1, 3 and 2
+    with pytest.raises(ValueError, match="d must be an integer >= 1"):
+        make(*args)
+
+
+@pytest.mark.parametrize("m, d", [(1.5, 600), (2.0, 300), (3.0, 1000)])
+def test_zkb_high_dimension(m, d):
+    # B(d/2, gamma+1) underflows to 0 here, so its log used to raise; the
+    # ln terms reach ~1e3, so the condition holds to ~1e3 eps
+    fam = zkb_source_preset(m, d)
+    assert fam.norm_c ** (m - 1.0) == pytest.approx(0.5 * fam.alpha * fam.c**2, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, d", [(3.0, 800), (2.5, 500), (7.0, 1000)])
+def test_ple_high_dimension(p, d):
+    raw, fam = ple_preset(p, d)
+    assert raw.frak_c**fam.gamma_exp == pytest.approx(fam.norm_c, rel=1e-12)
+
+
+def test_zkb_refusal_is_the_family_one():
+    # a member whose C overflows is refused by new_family, not by a log
+    with pytest.raises(ValueError, match="normalization C"):
+        zkb_source_preset(1.0001, 400)

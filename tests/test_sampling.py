@@ -45,7 +45,9 @@ class TestRngStream:
         b = RngStream(SEED, 1).uniform_open(50)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("stream_id", [2**63 + 5, 2**64 - 1, 0])
+    @pytest.mark.parametrize(
+        "stream_id", [2**63 + 5, 2**64 - 1, 0, np.uint64(2**64 - 1), np.int64(5)]
+    )
     def test_key_keeps_every_bit(self, stream_id):
         key = RngStream(7, stream_id)._gen.bit_generator.state["state"]["key"]
         assert [int(k) for k in key] == [7, stream_id]
@@ -60,12 +62,33 @@ class TestRngStream:
         b = RngStream(2**63 + 6, 7).uniform_open(50)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64 + 3)])
+    @pytest.mark.parametrize(
+        "seed, stream_id", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64 + 3), (np.int64(-1), 0)]
+    )
     def test_ids_outside_64_bits_refused(self, seed, stream_id):
         # these used to wrap onto the streams (2**64-1, 0), (0, 0),
         # (0, 2**64-1) and (0, 3)
         with pytest.raises(ValueError):
             RngStream(seed, stream_id)
+
+    @pytest.mark.parametrize(
+        "seed, stream_id",
+        [(1.5, 2.7), (1.0, 2), (1, 2.0), (True, 2), (1, np.True_), (np.float64(1.0), 2)],
+    )
+    def test_float_or_bool_keys_refused(self, seed, stream_id):
+        # int() used to truncate these onto the stream (1, 2)
+        with pytest.raises(TypeError, match="must be an integer"):
+            RngStream(seed, stream_id)
+
+    @pytest.mark.parametrize(
+        "k, error", [(1.5, TypeError), (1.0, TypeError), (True, TypeError), (-1, ValueError)]
+    )
+    def test_substream_index_refuses_non_integers(self, k, error):
+        # 1.5 and True used to give substream(1)
+        base = RngStream(SEED, 7)
+        with pytest.raises(error, match="substream index must be"):
+            base.substream(k)
+        assert base.substream(np.int64(1)).stream_id == base.substream(1).stream_id
 
     def test_open_interval(self):
         u = RngStream(SEED).uniform_open(10000)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barenblatt import transforms
 from barenblatt.family import new_family, pdf, support_radius
-from barenblatt.specfun import bessel_j
+from barenblatt.specfun import bessel_j, ln_gamma
 from scipy import special
 from barenblatt.transforms import (
     EKParams,
@@ -513,6 +514,22 @@ class TestCharFnArrays:
         got = fn(new_family(*member), np.zeros(3), 1.3)
         assert np.array_equal(got, np.ones(3))
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 12])
+    def test_routes_differ_in_the_kernel_only(self, monkeypatch, d):
+        # with the radial route's Bessel kernel in place of the 64-node
+        # projection rule, the projection route is the radial computation
+        # bit for bit: everything but the direction kernel is shared
+        p = new_family(0.4, 1.5, 1.2, 1.3, d)
+        xi = np.array([0.0, 0.3, 2.5, 7.0, 20.0])
+        assert not np.array_equal(char_fn_projection(p, xi, 0.9), char_fn_radial(p, xi, 0.9))
+        monkeypatch.setattr(
+            transforms,
+            "_mean_cos_projection",
+            lambda dim, w: math.exp(ln_gamma(0.5 * dim)) * _g_bessel_ratio(0.5 * dim - 1.0, w),
+        )
+        assert np.array_equal(char_fn_projection(p, xi, 0.9), char_fn_radial(p, xi, 0.9))
+        assert char_fn_projection(p, 2.5, 0.9) == char_fn_radial(p, 2.5, 0.9)
+
     def test_radial_d12_against_bessel_closed_form(self):
         # beta = 2: the transform is Gamma(nu+1) (2/s)^nu J_nu(s), s = |xi| c
         # t^alpha, nu = d/2 + gamma; the prefactor sits inside the
@@ -609,3 +626,22 @@ class TestNonFiniteInputs:
             velocity_representation_residual(wigner(), 0.3, t)
         with pytest.raises(ValueError, match="t must be finite and > 0"):
             radial_prefactor_report(new_family(0.5, 2.0, 1.0, 1.0, 3), 0.2, t)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_ek_argument(self, x):
+        # these used to end as "integrand returned a non-finite value"
+        with pytest.raises(ValueError, match="x must be finite"):
+            ek_integral(EKParams(0.0, 1.0, 1.0), lambda s: np.asarray(s), x)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["zeta", "mu", "eta"])
+    def test_ek_params(self, field, v):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            EKParams(**({"zeta": 0.0, "mu": 1.0, "eta": 1.0} | {field: v}))
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["xi_param", "c", "x", "t"])
+    def test_dalembert_arguments(self, name, v):
+        args = {"xi_param": 1.5, "c": 1.0, "x": 0.4, "t": 0.9} | {name: v}
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            epd_dalembert_1d(np.cos, **args)
