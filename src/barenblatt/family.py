@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta, sphere_surface
+from .specfun import _check_dim, inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta, sphere_surface
 
 __all__ = [
     "FamilyParams",
@@ -97,13 +97,6 @@ def _check_time(t) -> float:
     if not (t > 0.0) or not math.isfinite(t):
         raise ValueError(f"t must be finite and > 0, got {t}")
     return t
-
-
-def _check_dim(d) -> int:
-    """d as an int >= 1; a non-integer d is refused, not truncated."""
-    if int(d) != d or int(d) < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d}")
-    return int(d)
 
 
 def support_radius(p: FamilyParams, t) -> float:

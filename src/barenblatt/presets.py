@@ -37,8 +37,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .family import FamilyParams, _check_dim, new_family
-from .specfun import _ln_gamma_signed, ln_beta, ln_gamma, ln_sphere
+from .family import FamilyParams, new_family
+from .specfun import _check_dim, _ln_gamma_signed, ln_beta, ln_gamma, ln_sphere
 
 __all__ = [
     "PLEParams",
@@ -171,6 +171,9 @@ def npme_preset(m: float, nu: float, d: int):
     )
     k_const = math.exp(ln_k)
     c = math.exp(-ln_k / nu)
+    # first, so a member whose C overflows gets new_family's refusal, not
+    # an OverflowError from exp(ln_c_const)
+    fam = new_family(alpha, 2.0, gamma_exp, c, d)
     ln_c_const = (
         ln_gamma(0.5 * d + gamma_exp + 1.0)
         + (d / nu) * ln_k
@@ -178,7 +181,6 @@ def npme_preset(m: float, nu: float, d: int):
         - ln_gamma(gamma_exp + 1.0)
     )
     c_const = math.exp(ln_c_const)
-    fam = new_family(alpha, 2.0, gamma_exp, c, d)
     return (
         NPMEParams(
             m=m,

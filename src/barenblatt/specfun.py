@@ -535,11 +535,16 @@ def bessel_j(mu, x):
 # ----------------------------------------------------------------------
 # sphere measure
 
+def _check_dim(d) -> int:
+    """d as an int >= 1; a non-integer d is refused, not truncated."""
+    if int(d) != d or int(d) < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d}")
+    return int(d)
+
+
 def ln_sphere(d) -> float:
     """ln of the surface measure of the unit sphere in R^d."""
-    if int(d) != d or int(d) < 1:
-        raise ValueError("sphere measure requires an integer dimension d >= 1")
-    return _ln_sphere(int(d))
+    return _ln_sphere(_check_dim(d))
 
 
 # one entry per dimension ever asked for; every density evaluation needs it

@@ -358,7 +358,11 @@ def test_ple_high_dimension(p, d):
     assert raw.frak_c**fam.gamma_exp == pytest.approx(fam.norm_c, rel=1e-12)
 
 
-def test_zkb_refusal_is_the_family_one():
+@pytest.mark.parametrize(
+    "make, args", [(zkb_source_preset, (1.0001, 400)), (npme_preset, (1.001, 0.1, 1000))]
+)
+def test_refusal_is_the_family_one(make, args):
     # a member whose C overflows is refused by new_family, not by a log
+    # or an exp of the preset's own
     with pytest.raises(ValueError, match="normalization C"):
-        zkb_source_preset(1.0001, 400)
+        make(*args)
