@@ -7,7 +7,8 @@ significant digits so files diff cleanly across runs; JSON uses the
 native shortest round-trip repr.  Exit codes: 0 success, 1 runtime
 failure (failed verification checks, broken output pipe, an integral
 that cannot meet its tolerance), 2 usage error, including a value the
-library refuses with ValueError.  Exit 1 on a broken pipe holds under
+library refuses with ValueError and one (a time, say) at which a result
+leaves the float range.  Exit 1 on a broken pipe holds under
 unbuffered stdio (`python -u`, PYTHONUNBUFFERED) as well: stdout is
 written in full or the command fails, never cut short with exit 0.
 
@@ -146,7 +147,7 @@ def _resolve_family(args, parser) -> FamilyParams:
     if args.preset == "npme":
         return preset_mod.npme_preset(args.m, args.nu, args.d)[1]
     if args.preset == "epd":
-        return preset_mod.epd_preset(args.nu, args.c, args.d)[1]
+        return preset_mod.epd_preset(args.nu, args.c, args.d)
     return preset_mod.zkb_source_preset(args.m, args.d)
 
 
@@ -201,7 +202,7 @@ def _cmd_presets(args, parser) -> int:
         ("wigner", "", preset_mod.wigner_preset()),
         ("ple", "p=3, d=1", preset_mod.ple_preset(3.0, 1)[1]),
         ("npme", "m=2, nu=2, d=1", preset_mod.npme_preset(2.0, 2.0, 1)[1]),
-        ("epd", "nu=2, c=1, d=3", preset_mod.epd_preset(2.0, 1.0, 3)[1]),
+        ("epd", "nu=2, c=1, d=3", preset_mod.epd_preset(2.0, 1.0, 3)),
         ("zkb", "m=2, d=1", preset_mod.zkb_source_preset(2.0, 1)),
     ]
     rows = [
@@ -245,14 +246,13 @@ def _cmd_msd(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    given = {f: getattr(args, f) for f in ("threads", "h_levels") if getattr(args, f) is not None}
+    flags = ("seed", "threads", "h_levels")
+    given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
     # a flag the suite does not read would be silently ignored
     unread = [f for f in given if f not in verify_mod._SUITES[args.suite][1]]
     if unread:
         parser.error(f"--{unread[0].replace('_', '-')} is not read by verify {args.suite}")
-    report = verify_mod.run_suite(
-        args.suite, seed=args.seed, out_dir=_resolve_path(args.out), **given
-    )
+    report = verify_mod.run_suite(args.suite, out_dir=_resolve_path(args.out), **given)
     header, rows = report.table()
     _emit(rows, header, args)
     return 0 if report.passed else 1
@@ -313,7 +313,10 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="run a named verification suite")
     _add_io_flags(p_verify)
     p_verify.add_argument("suite", choices=verify_mod.SUITE_NAMES)
-    p_verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    p_verify.add_argument(
+        "--seed", type=int, default=None,
+        help=f"sampling suite only (default {verify_mod.DEFAULT_SEED})",
+    )
     p_verify.add_argument("--out", default=None, help="report directory")
     p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--h-levels", type=int, default=None)
@@ -334,8 +337,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     # RNG keys are 64-bit words; a value outside would silently wrap
     for flag in ("seed", "stream"):
-        value = getattr(args, flag, 0)
-        if not 0 <= value < 1 << 64:
+        value = getattr(args, flag, None)
+        if value is not None and not 0 <= value < 1 << 64:
             parser.error(f"--{flag} must lie in [0, 2**64), got {value}")
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
@@ -352,6 +355,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # a parameter the library refuses is a usage error, not a crash
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        # e.g. a time whose front radius or density overflows a float
+        print(f"{parser.prog}: error: a value at this input leaves the float "
+              f"range ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         # an integral that cannot meet its tolerance names its interval

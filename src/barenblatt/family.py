@@ -124,11 +124,14 @@ def _radius_of(p: FamilyParams, x):
 
 def _profile(p: FamilyParams, r, t: float):
     """Density as a function of radius; exact 0.0 from the front outward."""
+    # the amplitude first: where t^alpha underflows to 0 it overflows
+    # (OverflowError) before the quotient below can turn 0/0
+    amp = p.norm_c * t ** (-p.alpha * p.d)
     z = np.asarray(r, dtype=float) / (p.c * t**p.alpha)
     # min(z, 1) pins every outside point to the boundary where the plateau
     # factor is exactly zero; also shields pow from rounding above 1
     body = np.maximum(1.0 - np.minimum(z, 1.0) ** p.beta_exp, 0.0)
-    return p.norm_c * t ** (-p.alpha * p.d) * body**p.gamma_exp
+    return amp * body**p.gamma_exp
 
 
 def pdf(p: FamilyParams, x, t):
@@ -207,8 +210,8 @@ def self_similarity_residual(p: FamilyParams, x, t, L):
     """u(x, t) - L^{d alpha} u(L^alpha x, L t); zero for every member."""
     t = _check_time(t)
     L = float(L)
-    if L <= 0.0:
-        raise ValueError(f"L must be > 0, got {L}")
+    if not (0.0 < L < math.inf):
+        raise ValueError(f"L must be finite and > 0, got {L}")
     r = _radius_of(p, x)
     lhs = _profile(p, r, t)
     rhs = L ** (p.d * p.alpha) * _profile(p, L**p.alpha * r, L * t)

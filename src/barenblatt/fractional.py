@@ -12,54 +12,20 @@ the identity is certified on the strict interior of the support only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .family import _check_time
 from .presets import FractionalParams
+from .sampling import _count
 from .specfun import _ln_gamma_signed, ln_gamma
 
 __all__ = [
-    "RLGrid",
     "rl_power_rule",
     "rl_derivative_numeric",
     "fractional_solution",
     "fbe_residual",
 ]
-
-
-@dataclass(frozen=True)
-class RLGrid:
-    """Uniform time grid for the L1 scheme.
-
-    Nodes run from 0 to t_max in steps of h = t_max / n_steps (the
-    memory integral always starts at 0); t_min > 0 declares the smallest
-    time the derivative will be requested at, keeping evaluations away
-    from the t = 0 singularity of the fractional solution.  `nu` is the
-    order the grid was sized for; the evaluator cross-checks it.
-    """
-
-    t_min: float
-    t_max: float
-    n_steps: int
-    nu: float
-
-    def __post_init__(self):
-        if not (self.t_min > 0.0):
-            raise ValueError(f"t_min must be > 0, got {self.t_min}")
-        if not (self.t_max > self.t_min):
-            raise ValueError(
-                f"t_max must exceed t_min, got {self.t_max} <= {self.t_min}"
-            )
-        if int(self.n_steps) != self.n_steps or self.n_steps < 2:
-            raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps}")
-        if not (0.0 < self.nu < 1.0):
-            raise ValueError(f"nu must be in (0, 1), got {self.nu}")
-
-    @property
-    def h(self) -> float:
-        return self.t_max / self.n_steps
 
 
 def rl_power_rule(exp_beta: float, nu: float, t: float) -> float:
@@ -73,10 +39,10 @@ def rl_power_rule(exp_beta: float, nu: float, t: float) -> float:
     """
     exp_beta = float(exp_beta)
     nu = float(nu)
-    if not (exp_beta > -1.0):
-        raise ValueError(f"exp_beta must be > -1, got {exp_beta}")
-    if not (nu > 0.0):
-        raise ValueError(f"nu must be > 0, got {nu}")
+    if not (-1.0 < exp_beta < math.inf):
+        raise ValueError(f"exp_beta must be finite and > -1, got {exp_beta}")
+    if not (0.0 < nu < math.inf):
+        raise ValueError(f"nu must be finite and > 0, got {nu}")
     t = _check_time(t)
     z = 1.0 + exp_beta - nu
     if z <= 1e-12 and abs(z - round(z)) <= 1e-12:
@@ -87,10 +53,11 @@ def rl_power_rule(exp_beta: float, nu: float, t: float) -> float:
     return sign * math.exp(ln_gamma(1.0 + exp_beta) - ln_den) * t ** (exp_beta - nu)
 
 
-def rl_derivative_numeric(f, nu: float, grid: RLGrid, t: float) -> float:
-    """L1 discretization of the Riemann-Liouville derivative at a node.
+def rl_derivative_numeric(f, nu: float, t: float, n_steps: int) -> float:
+    """L1 discretization of the Riemann-Liouville derivative at t.
 
-    Splitting off the initial value,
+    On the nodes 0, h, ..., m h = t with h = t / m and m = n_steps,
+    splitting off the initial value,
 
         D^nu f(t) = f(0) t^{-nu} / Gamma(1-nu)
                     + h^{-nu}/Gamma(2-nu) * sum_{j<m} (f_{j+1}-f_j) b_{m-1-j},
@@ -98,21 +65,15 @@ def rl_derivative_numeric(f, nu: float, grid: RLGrid, t: float) -> float:
 
     which is the classical piecewise-linear-interpolant scheme; global
     accuracy O(h^{2-nu}) on smooth f, and exact whenever f is linear
-    (the interpolant is f itself).  f is evaluated on the nodes 0..t, so
-    it must be finite at 0 and vectorized over a node array.
+    (the interpolant is f itself).  f is evaluated on the nodes, so it
+    must be finite at 0 and vectorized over a node array.
     """
     nu = float(nu)
-    t = float(t)
-    if grid.nu != nu:
-        raise ValueError(
-            f"grid was sized for nu = {grid.nu}, derivative requested at nu = {nu}"
-        )
-    if not (grid.t_min <= t <= grid.t_max):
-        raise ValueError(f"t = {t} outside the grid range [{grid.t_min}, {grid.t_max}]")
-    h = grid.h
-    m = int(round(t / h))
-    if abs(m * h - t) > 1e-9 * max(t, 1.0) or m < 2:
-        raise ValueError(f"t = {t} is not a grid node with index >= 2 (h = {h})")
+    if not (0.0 < nu < 1.0):
+        raise ValueError(f"nu must be in (0, 1), got {nu}")
+    t = _check_time(t)
+    m = _count("n_steps", n_steps, least=2)
+    h = t / m
     nodes = h * np.arange(m + 1)
     fv = np.asarray(f(nodes), dtype=float)
     if fv.shape != nodes.shape or not np.all(np.isfinite(fv)):

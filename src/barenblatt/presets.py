@@ -1,7 +1,8 @@
 """Parameter mappings from named PDE special cases into the family.
 
-Each constructor returns the raw-parameter record alongside the mapped
-FamilyParams.  Amplitude constants are solved in log-gamma space.
+`ple_preset` and `npme_preset` return their raw-parameter record
+alongside the mapped FamilyParams; the other members are the
+FamilyParams alone.  Amplitude constants are solved in log-gamma space.
 
 p-Laplacian evolution (front scale derivation).  The mapped member has
 beta = p/(p-1), gamma = (p-1)/(p-2), alpha = k/d with
@@ -43,7 +44,6 @@ from .specfun import _check_dim, _ln_gamma_signed, ln_beta, ln_gamma, ln_sphere
 __all__ = [
     "PLEParams",
     "NPMEParams",
-    "EPDParams",
     "FractionalParams",
     "ple_preset",
     "npme_preset",
@@ -83,15 +83,6 @@ class NPMEParams:
     k_const: float
     C_const: float
     norm_const_residual: float
-
-
-@dataclass(frozen=True)
-class EPDParams:
-    """Euler-Poisson-Darboux fundamental-solution parameters."""
-
-    nu: float
-    c: float
-    d: int
 
 
 @dataclass(frozen=True)
@@ -195,14 +186,15 @@ def npme_preset(m: float, nu: float, d: int):
     )
 
 
-def epd_preset(nu: float, c: float, d: int):
+def epd_preset(nu: float, c: float, d: int) -> FamilyParams:
     """Map the Euler-Poisson-Darboux fundamental solution into the family.
 
     beta = 2, alpha = 1, gamma = nu - 1, same wave speed c.  The density
     constant Gamma(nu + d/2) / (pi^{d/2} Gamma(nu) c^d) is the same
-    algebraic object as the family normalizer (B(d/2, nu) written out),
-    checked here to rounding.  nu <= 1 would give gamma <= 0 and a
-    boundary blow-up outside the family's invariants, so it is rejected.
+    algebraic object as the family normalizer (B(d/2, nu) written out);
+    the presets suite checks the two to rounding.  nu <= 1 would give
+    gamma <= 0 and a boundary blow-up outside the family's invariants, so
+    it is rejected.
     """
     nu = float(nu)
     c = float(c)
@@ -210,19 +202,7 @@ def epd_preset(nu: float, c: float, d: int):
         raise ValueError(f"nu must be > 1, got {nu}")
     if not (c > 0.0):
         raise ValueError(f"c must be > 0, got {c}")
-    d = _check_dim(d)
-    fam = new_family(1.0, 2.0, nu - 1.0, c, d)
-    closed = math.exp(
-        ln_gamma(nu + 0.5 * d)
-        - 0.5 * d * math.log(math.pi)
-        - ln_gamma(nu)
-        - d * math.log(c)
-    )
-    if abs(closed - fam.norm_c) > 1e-12 * fam.norm_c:
-        raise ArithmeticError(
-            f"density-constant identity violated: {closed!r} vs {fam.norm_c!r}"
-        )
-    return EPDParams(nu=nu, c=c, d=d), fam
+    return new_family(1.0, 2.0, nu - 1.0, c, _check_dim(d))
 
 
 def wigner_preset() -> FamilyParams:

@@ -536,8 +536,8 @@ def bessel_j(mu, x):
 # sphere measure
 
 def _check_dim(d) -> int:
-    """d as an int >= 1; a non-integer d is refused, not truncated."""
-    if int(d) != d or int(d) < 1:
+    """d as an int >= 1; a non-integer or bool d is refused, not truncated."""
+    if isinstance(d, (bool, np.bool_)) or int(d) != d or int(d) < 1:
         raise ValueError(f"d must be an integer >= 1, got {d}")
     return int(d)
 

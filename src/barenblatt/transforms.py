@@ -22,7 +22,6 @@ from .specfun import bessel_j, beta_fn, integrate, ln_beta, ln_gamma, sphere_sur
 
 __all__ = [
     "EKParams",
-    "RadialPrefactorReport",
     "char_fn_1d",
     "char_fn_radial",
     "char_fn_projection",
@@ -286,42 +285,17 @@ def velocity_representation_residual(p: FamilyParams, x, t):
     return float(out) if np.ndim(x) == 0 else out
 
 
-@dataclass(frozen=True)
-class RadialPrefactorReport:
-    """Relative residuals of the two prefactor readings of the d >= 2
-    radius representation against the pdf at one (r, t) point.
-
-    residual_* = (variant - pdf) / max(pdf, 1e-300).  The stated form
-    carries prefactor B((d/2+1)/beta, gamma+1) / (sigma (c t^alpha r)^{d/2-1}
-    B(d/beta, gamma+1)) on the Z-density; the corrected form divides by
-    one more power of r.  Which one closes is recorded, not assumed.
-    """
-
-    d: int
-    alpha: float
-    beta_exp: float
-    gamma_exp: float
-    c: float
-    r: float
-    t: float
-    residual_paper_form: float
-    residual_corrected_form: float
-
-    @property
-    def matching_variant(self) -> str:
-        return (
-            "corrected"
-            if abs(self.residual_corrected_form) <= abs(self.residual_paper_form)
-            else "stated"
-        )
-
-
-def radial_prefactor_report(p: FamilyParams, r, t) -> RadialPrefactorReport:
-    """Evaluate both prefactor variants at an interior radius point.
+def radial_prefactor_report(p: FamilyParams, r, t) -> tuple:
+    """Relative residuals (stated, corrected) of the two prefactor
+    readings of the d >= 2 radius representation against the pdf at an
+    interior point (r, t); each is (variant - pdf) / max(pdf, 1e-300).
 
     The Z-variable density is f_Z(z) = (beta/c)(z/c)^{d/2}
-    (1-(z/c)^beta)^gamma / B((d/2+1)/beta, gamma+1) on (0, c); the stated
-    identity multiplies f_Z(r/t^alpha)/t^alpha by the prefactor above.
+    (1-(z/c)^beta)^gamma / B((d/2+1)/beta, gamma+1) on (0, c).  The
+    stated identity multiplies f_Z(r/t^alpha)/t^alpha by the prefactor
+    B((d/2+1)/beta, gamma+1) / (sigma (c t^alpha r)^{d/2-1} B(d/beta,
+    gamma+1)); the corrected form divides by one more power of r.  Which
+    one closes is recorded, not assumed.
     """
     _require_dim(p, want_1d=False)
     r = float(r)
@@ -344,14 +318,4 @@ def radial_prefactor_report(p: FamilyParams, r, t) -> RadialPrefactorReport:
     corrected = stated / r
     u = float(pdf(p, np.concatenate([[r], np.zeros(p.d - 1)]), t))
     scale = max(u, 1e-300)
-    return RadialPrefactorReport(
-        d=p.d,
-        alpha=p.alpha,
-        beta_exp=p.beta_exp,
-        gamma_exp=p.gamma_exp,
-        c=p.c,
-        r=r,
-        t=t,
-        residual_paper_form=(stated - u) / scale,
-        residual_corrected_form=(corrected - u) / scale,
-    )
+    return (stated - u) / scale, (corrected - u) / scale

@@ -163,15 +163,25 @@ def _check_stencil(fam: FamilyParams, radii, t, h):
         )
 
 
+def _member_points(fam: FamilyParams, t, interior_fraction):
+    """u(r, t) along the first axis, the 8 evaluation radii (up to
+    interior_fraction of the front) and max|u| over them at t."""
+    u_of = lambda r, tt: _u_on_radii(fam, r, tt)
+    radii = np.linspace(0.15, 1.0, 8) * interior_fraction * support_radius(fam, t)
+    return u_of, radii, float(np.max(np.abs(u_of(radii, t))))
+
+
+def _report(equation, params, hs, res, notes="") -> ResidualReport:
+    return ResidualReport(equation, params, tuple(hs), tuple(res), _order_estimate(res), notes)
+
+
 def _mapped_member_residuals(m, d, t, h, interior_fraction):
     """Normalized porous-medium residuals, at step h, of the nonlocal
     nu = 2 member and of its amplitude-one profile (see pme_residual)."""
     _, nf = preset_mod.npme_preset(m, 2.0, d)
     kappa = (m - 1.0) / m
     phi = lambda u: u**m
-    u_of = lambda r, tt: _u_on_radii(nf, r, tt)
-    radii = np.linspace(0.15, 1.0, 8) * interior_fraction * support_radius(nf, t)
-    umax = float(np.max(np.abs(u_of(radii, t))))
+    u_of, radii, umax = _member_points(nf, t, interior_fraction)
     lit = _parabolic_residual(u_of, phi, kappa, d, t, h, radii) / umax
     raw_u = lambda r, tt: u_of(r, tt) / nf.norm_c
     raw = _parabolic_residual(raw_u, phi, kappa, d, t, h, radii) / (umax / nf.norm_c)
@@ -204,12 +214,10 @@ def pme_residual(
     fam = preset_mod.zkb_source_preset(m, d)
     if gamma_scale != 1.0:
         fam = new_family(fam.alpha, 2.0, fam.gamma_exp * gamma_scale, fam.c, d)
-    radii = np.linspace(0.15, 1.0, 8) * interior_fraction * support_radius(fam, t)
+    u_of, radii, umax = _member_points(fam, t, interior_fraction)
     _check_stencil(fam, radii, t, h)
     kappa = (m - 1.0) / m
     phi = lambda u: u**m
-    u_of = lambda r, tt: _u_on_radii(fam, r, tt)
-    umax = float(np.max(np.abs(u_of(radii, t))))
     hs = _dyadic_h(h, levels)
     res = [_parabolic_residual(u_of, phi, kappa, d, t, hh, radii) / umax for hh in hs]
     notes = ""
@@ -220,14 +228,8 @@ def pme_residual(
             f"{lit:.3e} (does not vanish); amplitude-one profile residual "
             f"{raw:.3e} (vanishes); unit-mass source member is the headline"
         )
-    return ResidualReport(
-        equation="porous-medium flow",
-        params={"m": m, "d": d, "t": t, "gamma_scale": gamma_scale},
-        h_values=tuple(hs),
-        max_residuals=tuple(res),
-        order=_order_estimate(res),
-        notes=notes,
-    )
+    params = {"m": m, "d": d, "t": t, "gamma_scale": gamma_scale}
+    return _report("porous-medium flow", params, hs, res, notes)
 
 
 def epd_residual(
@@ -243,26 +245,19 @@ def epd_residual(
     """Residual of u_tt + ((d+2nu-1)/t) u_t - c^2 Lap(u) for the mapped
     fundamental solution.  alpha_shift perturbs the self-similarity
     exponent as a negative control."""
-    _, fam = preset_mod.epd_preset(nu, c, d)
+    fam = preset_mod.epd_preset(nu, c, d)
     if alpha_shift != 0.0:
         fam = new_family(1.0 + alpha_shift, 2.0, nu - 1.0, c, d)
-    radii = np.linspace(0.15, 1.0, 8) * interior_fraction * support_radius(fam, t)
+    u_of, radii, umax = _member_points(fam, t, interior_fraction)
     _check_stencil(fam, radii, t, h)
-    u_of = lambda r, tt: _u_on_radii(fam, r, tt)
     damp = lambda tt: (d + 2.0 * nu - 1.0) / tt
     speed2 = lambda tt: c**2
-    umax = float(np.max(np.abs(u_of(radii, t))))
     hs = _dyadic_h(h, levels)
     res = [
         _second_order_residual(u_of, damp, speed2, d, t, hh, radii) / umax for hh in hs
     ]
-    return ResidualReport(
-        equation="Euler-Poisson-Darboux",
-        params={"nu": nu, "c": c, "d": d, "t": t, "alpha_shift": alpha_shift},
-        h_values=tuple(hs),
-        max_residuals=tuple(res),
-        order=_order_estimate(res),
-    )
+    params = {"nu": nu, "c": c, "d": d, "t": t, "alpha_shift": alpha_shift}
+    return _report("Euler-Poisson-Darboux", params, hs, res)
 
 
 def epd_type_wave_residual(
@@ -295,20 +290,9 @@ def epd_type_wave_residual(
     speed2 = lambda tt: v**2 * alpha**2 * tt ** (2.0 * alpha - 2.0)
     hs = _dyadic_h(h, levels)
     res = [_second_order_residual(u_of, damp, speed2, 1, t, hh, xs) for hh in hs]
-    order = _order_estimate(res)
-    notes = "" if not math.isnan(order) else "residual at rounding floor"
-    return ResidualReport(
-        equation="EPD-type traveling wave",
-        params={
-            "alpha": alpha,
-            "v": v,
-            "profile_exponent_scale": profile_exponent_scale,
-        },
-        h_values=tuple(hs),
-        max_residuals=tuple(res),
-        order=order,
-        notes=notes,
-    )
+    notes = "residual at rounding floor" if min(res) <= _RESIDUAL_FLOOR else ""
+    params = {"alpha": alpha, "v": v, "profile_exponent_scale": profile_exponent_scale}
+    return _report("EPD-type traveling wave", params, hs, res, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +355,7 @@ def _suite_normalization(report: SuiteReport):
         ("wigner", preset_mod.wigner_preset()),
         ("ple(p=3,d=1)", preset_mod.ple_preset(3.0, 1)[1]),
         ("npme(m=2,nu=2,d=1)", preset_mod.npme_preset(2.0, 2.0, 1)[1]),
-        ("epd(nu=3,c=2,d=2)", preset_mod.epd_preset(3.0, 2.0, 2)[1]),
+        ("epd(nu=3,c=2,d=2)", preset_mod.epd_preset(3.0, 2.0, 2)),
         ("zkb(m=2,d=1)", preset_mod.zkb_source_preset(2.0, 1)),
     ]
     masses = _quad_masses([fam for _, fam in presets], 1.3)
@@ -408,16 +392,18 @@ def _suite_representations(report: SuiteReport):
     rows = []
     worst_corr = 0.0
     worst_stated = 0.0
+    match = True
     for member in _RADIAL_MEMBERS[:3]:
         fam = new_family(*member)
         for t in (0.5, 1.0, 2.0):
             for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
                 r = frac * support_radius(fam, t)
-                rep = trans_mod.radial_prefactor_report(fam, r, t)
-                rows.append(rep)
-                worst_corr = max(worst_corr, abs(rep.residual_corrected_form))
-                worst_stated = max(worst_stated, abs(rep.residual_paper_form))
-    match = all(rep.matching_variant == "corrected" for rep in rows if rep.r != 1.0)
+                stated, corrected = trans_mod.radial_prefactor_report(fam, r, t)
+                rows.append((fam.d, fam.alpha, fam.beta_exp, fam.gamma_exp, fam.c, r, t,
+                             stated, corrected))
+                worst_corr = max(worst_corr, abs(corrected))
+                worst_stated = max(worst_stated, abs(stated))
+                match = match and abs(corrected) <= abs(stated)
     report.add(
         "radial-prefactor-adjudication",
         worst_corr <= 1e-10 and match,
@@ -428,7 +414,7 @@ def _suite_representations(report: SuiteReport):
     )
     report.artifacts["radial_prefactor.csv"] = (
         "d alpha beta gamma c r t residual_paper_form residual_corrected_form".split(),
-        [astuple(rep) for rep in rows],
+        rows,
     )
 
     worst_power = 0.0
@@ -566,7 +552,7 @@ def _suite_presets(report: SuiteReport):
     worst = 0.0
     for nu in (1.5, 2.0, 3.0, 4.5):
         for d in (1, 2, 3):
-            _, fam = preset_mod.epd_preset(nu, 1.3, d)
+            fam = preset_mod.epd_preset(nu, 1.3, d)
             closed = math.exp(
                 math.lgamma(nu + 0.5 * d)
                 - 0.5 * d * math.log(math.pi)
@@ -636,10 +622,7 @@ def _suite_fractional(report: SuiteReport):
     for nu in (0.3, 0.5, 0.7):
         errs = []
         for n in (64, 128, 256, 512):
-            g = frac_mod.RLGrid(0.5, 1.0, n, nu)
-            got = frac_mod.rl_derivative_numeric(
-                lambda s: np.asarray(s) ** 2, nu, g, 1.0
-            )
+            got = frac_mod.rl_derivative_numeric(lambda s: np.asarray(s) ** 2, nu, 1.0, n)
             errs.append(abs(got - frac_mod.rl_power_rule(2.0, nu, 1.0)))
         order = _order_estimate(errs)
         worst_dev = max(worst_dev, abs(order - (2.0 - nu)))
@@ -674,16 +657,17 @@ def _suite_fractional(report: SuiteReport):
 
 
 def _suite_pde(report: SuiteReport, h_levels: int):
+    def order(name, rep, detail=""):
+        report.add(name, 1.7 <= rep.order <= 2.3, rep.order, 2.0, detail)
+
+    def control(name, rep, detail):
+        last = rep.max_residuals[-1]
+        report.add(name, last > 1e-3, last, 1e-3, detail)
+
     for m in (2.0, 3.0):
         for d in (1, 2, 3):
             rep = pme_residual(m, d, t=1.0, h=0.02, levels=h_levels)
-            report.add(
-                f"pme-order-m{m:g}-d{d}",
-                1.7 <= rep.order <= 2.3,
-                rep.order,
-                2.0,
-                rep.notes,
-            )
+            order(f"pme-order-m{m:g}-d{d}", rep, rep.notes)
     lit, _ = _mapped_member_residuals(2.0, 1, 1.0, _dyadic_h(0.02, h_levels)[-1], 0.8)
     report.add(
         "pme-mapped-member-defect",
@@ -695,19 +679,11 @@ def _suite_pde(report: SuiteReport, h_levels: int):
     )
     for d in (1, 3):
         rep = epd_residual(3.0, 2.0 if d == 3 else 1.0, d, t=1.0, h=0.02, levels=h_levels)
-        report.add(
-            f"epd-order-nu3-d{d}", 1.7 <= rep.order <= 2.3, rep.order, 2.0
-        )
+        order(f"epd-order-nu3-d{d}", rep)
     for alpha in (1.0 / 3.0, 0.5, 1.0):
         v = 1.5 if alpha == 1.0 else 1.0
         rep = epd_type_wave_residual(alpha, v, h=0.02, levels=h_levels)
-        report.add(
-            f"wave-order-alpha{alpha:.3g}",
-            1.7 <= rep.order <= 2.3,
-            rep.order,
-            2.0,
-            f"v = {v}",
-        )
+        order(f"wave-order-alpha{alpha:.3g}", rep, f"v = {v}")
     rep = epd_type_wave_residual(1.0, 1.0, h=0.02, levels=h_levels)
     floor = max(rep.max_residuals)
     report.add(
@@ -717,34 +693,70 @@ def _suite_pde(report: SuiteReport, h_levels: int):
         1e-10,
         "alpha = 1, v = 1: truncation terms cancel exactly",
     )
-    rep = pme_residual(2.0, 1, t=1.0, h=0.02, gamma_scale=1.1)
-    report.add(
+    control(
         "negative-control-pme",
-        rep.max_residuals[-1] > 1e-3,
-        rep.max_residuals[-1],
-        1e-3,
+        pme_residual(2.0, 1, t=1.0, h=0.02, gamma_scale=1.1),
         "perturbed profile exponent must not satisfy the flow",
     )
-    rep = epd_residual(3.0, 1.0, 1, t=1.0, h=0.02, alpha_shift=0.15)
-    report.add(
+    control(
         "negative-control-epd",
-        rep.max_residuals[-1] > 1e-3,
-        rep.max_residuals[-1],
-        1e-3,
+        epd_residual(3.0, 1.0, 1, t=1.0, h=0.02, alpha_shift=0.15),
         "perturbed similarity exponent must not solve the equation",
     )
-    rep = epd_type_wave_residual(0.5, 1.0, h=0.02, profile_exponent_scale=0.5)
-    report.add(
+    control(
         "negative-control-wave",
-        rep.max_residuals[-1] > 1e-3,
-        rep.max_residuals[-1],
-        1e-3,
+        epd_type_wave_residual(0.5, 1.0, h=0.02, profile_exponent_scale=0.5),
         "profile exponent alpha/2 must not solve the alpha equation",
     )
 
 
-def _suite_sampling(report: SuiteReport, threads: int):
-    seed = report.seed
+def _telegraph_checks(report: SuiteReport, seed: int, n_ks: int):
+    """The telegraph draws against the exact law of U_0, and coupled
+    paths across eps against their pathwise bound."""
+    # U_0 has the law F of member (1, 2, xi - 1, c, 1), and coupled paths
+    # (smaller eps extends the same flips) keep |U_eps - U_0| <= c eps, so
+    # F(x - c eps) <= F_eps(x) <= F(x + c eps): D_n of U_eps against F may
+    # pass the critical value by sup f * c eps = f(0) eps (c = t = 1).
+    xi_t = 2.0
+    fam_t = new_family(1.0, 2.0, xi_t - 1.0, 1.0, 1)
+    eps_levels = (1e-3, 1e-4, 1e-6)
+    teles = [
+        samp_mod.sample_epd_telegraph(RngStream(seed, 530), xi_t, 1.0, 1.0, eps, n_ks)
+        for eps in eps_levels
+    ]
+    laws = [
+        samp_mod.ks_test(tele, lambda x: fam_mod.cdf_1d(fam_t, x, 1.0), alpha=0.01)
+        for tele in teles
+    ]
+    sup_f = float(pdf(fam_t, 0.0, 1.0))
+    excess = max(law.statistic - sup_f * eps for law, eps in zip(laws, eps_levels))
+    crit = laws[0].critical_value
+    report.add(
+        "telegraph-exact-law",
+        excess <= crit,
+        excess,
+        crit,
+        "D_n " + ", ".join(f"{law.statistic:.6f}" for law in laws)
+        + f" at eps = 1e-3, 1e-4, 1e-6, less {sup_f:g} eps; n = {n_ks}",
+    )
+    # Coupled paths differ only by the signed time spent in [eps', eps],
+    # so |U_eps - U_eps'| <= c |eps - eps'| (c = 1 here), attained by a
+    # path without events there; the margin covers rounding of sums of
+    # order c t.  A path from another stream misses by O(c).
+    ratio = max(
+        float(np.max(np.abs(ua - ub))) / abs(ea - eb)
+        for (ua, ea), (ub, eb) in itertools.combinations(zip(teles, eps_levels), 2)
+    )
+    report.add(
+        "telegraph-eps-pathwise",
+        ratio <= 1.0 + 1e-9,
+        ratio,
+        1.0 + 1e-9,
+        f"max |U_eps - U_eps'| / (c |eps - eps'|) over the 3 eps pairs, n = {n_ks}",
+    )
+
+
+def _suite_sampling(report: SuiteReport, threads: int, seed: int):
     n_ks = 100_000
     # (stream ids are fixed per check so every run draws identical bytes)
     worst = 0.0
@@ -813,47 +825,7 @@ def _suite_sampling(report: SuiteReport, threads: int):
             f"Monte Carlo vs quadrature, n = {n_msd}",
         )
 
-    # U_0 has the law F of member (1, 2, xi - 1, c, 1), and coupled paths
-    # (smaller eps extends the same flips) keep |U_eps - U_0| <= c eps, so
-    # F(x - c eps) <= F_eps(x) <= F(x + c eps): D_n of U_eps against F may
-    # pass the critical value by sup f * c eps = f(0) eps (c = t = 1).
-    xi_t = 2.0
-    fam_t = new_family(1.0, 2.0, xi_t - 1.0, 1.0, 1)
-    eps_levels = (1e-3, 1e-4, 1e-6)
-    teles = [
-        samp_mod.sample_epd_telegraph(RngStream(seed, 530), xi_t, 1.0, 1.0, eps, n_ks)
-        for eps in eps_levels
-    ]
-    laws = [
-        samp_mod.ks_test(tele, lambda x: fam_mod.cdf_1d(fam_t, x, 1.0), alpha=0.01)
-        for tele in teles
-    ]
-    sup_f = float(pdf(fam_t, 0.0, 1.0))
-    excess = max(law.statistic - sup_f * eps for law, eps in zip(laws, eps_levels))
-    crit = laws[0].critical_value
-    report.add(
-        "telegraph-exact-law",
-        excess <= crit,
-        excess,
-        crit,
-        "D_n " + ", ".join(f"{law.statistic:.6f}" for law in laws)
-        + f" at eps = 1e-3, 1e-4, 1e-6, less {sup_f:g} eps; n = {n_ks}",
-    )
-    # Coupled paths differ only by the signed time spent in [eps', eps],
-    # so |U_eps - U_eps'| <= c |eps - eps'| (c = 1 here), attained by a
-    # path without events there; the margin covers rounding of sums of
-    # order c t.  A path from another stream misses by O(c).
-    ratio = max(
-        float(np.max(np.abs(ua - ub))) / abs(ea - eb)
-        for (ua, ea), (ub, eb) in itertools.combinations(zip(teles, eps_levels), 2)
-    )
-    report.add(
-        "telegraph-eps-pathwise",
-        ratio <= 1.0 + 1e-9,
-        ratio,
-        1.0 + 1e-9,
-        f"max |U_eps - U_eps'| / (c |eps - eps'|) over the 3 eps pairs, n = {n_ks}",
-    )
+    _telegraph_checks(report, seed, n_ks)
 
     rng_a = RngStream(seed, 600)
     rng_b = RngStream(seed, 600)
@@ -900,7 +872,7 @@ _SUITES = {
     "presets": (_suite_presets, ()),
     "fractional": (_suite_fractional, ()),
     "pde": (_suite_pde, ("h_levels",)),
-    "sampling": (_suite_sampling, ("threads",)),
+    "sampling": (_suite_sampling, ("threads", "seed")),
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -915,15 +887,17 @@ def run_suite(
     """Run one named verification suite and optionally write its reports.
 
     Suites: normalization, representations, transforms, presets,
-    fractional, pde, sampling.  Deterministic given (name, seed); threads
-    only affects internal work splitting of the large Monte Carlo draws;
-    h_levels sets the dyadic refinement depth of the pde suite.
+    fractional, pde, sampling.  Deterministic given (name, seed); seed
+    keys the draws of the sampling suite (the others draw nothing and
+    only record it), threads only affects internal work splitting of its
+    large Monte Carlo draws, and h_levels sets the dyadic refinement
+    depth of the pde suite.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     report = SuiteReport(suite=name, seed=int(seed))
     suite, wanted = _SUITES[name]
-    options = {"threads": threads, "h_levels": h_levels}
+    options = {"threads": threads, "h_levels": h_levels, "seed": report.seed}
     suite(report, **{k: options[k] for k in wanted})
     if out_dir is not None:
         _write_reports(report, out_dir)

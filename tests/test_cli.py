@@ -23,6 +23,7 @@ import pytest
 import barenblatt
 from barenblatt import cli, specfun
 from barenblatt import transforms as trans_mod
+from barenblatt import verify as verify_mod
 from barenblatt.cli import main
 from barenblatt.verify import SuiteReport
 
@@ -374,6 +375,16 @@ class TestVerify:
         rows = rows_of(out)
         assert any(r[0].startswith("pme-order") for r in rows[1:])
 
+    @pytest.mark.parametrize("argv, seed", [([], verify_mod.DEFAULT_SEED), (["--seed", "5"], 5)])
+    def test_seed_reaches_the_sampling_suite(self, monkeypatch, capsys, argv, seed):
+        def suite(report, threads, seed):
+            report.add("seed", True, seed, 0.0)
+
+        monkeypatch.setitem(verify_mod._SUITES, "sampling", (suite, ("threads", "seed")))
+        code, out = run_cli(capsys, "verify", "sampling", *argv)
+        assert code == 0
+        assert rows_of(out)[1][:3] == ["seed", "True", f"{seed:.17g}"]
+
     def test_report_directory(self, capsys, tmp_path):
         code, _ = run_cli(capsys, "verify", "presets", "--out", str(tmp_path))
         assert code == 0
@@ -623,13 +634,17 @@ FAMILY_FLAGS = ["--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "1"]
         ["verify", "presets", "--threads", "4"],
         ["verify", "pde", "--threads", "1"],
         ["verify", "sampling", "--h-levels", "3"],
+        *[["verify", suite, "--seed", "5"] for suite in
+          ("normalization", "representations", "transforms", "presets", "fractional", "pde")],
     ],
     ids=["t-nan", "t-inf", "grid-nan", "grid-inf", "d-0", "h-levels-2", "gamma-1e308",
          "seed-negative", "seed-2**64", "stream-negative", "stream-2**64", "verify-seed-negative",
          "projection-beyond-rule", "wigner-unread-c-d", "zkb-unread-nu", "explicit-unread-p-nu",
          "threads-0", "threads-negative", "presets-unread-h-levels-1",
          "presets-unread-h-levels-0", "presets-unread-threads", "pde-unread-threads",
-         "sampling-unread-h-levels"],
+         "sampling-unread-h-levels", "normalization-unread-seed", "representations-unread-seed",
+         "transforms-unread-seed", "presets-unread-seed", "fractional-unread-seed",
+         "pde-unread-seed"],
 )
 def test_usage_error_exits_two(argv):
     # refused input: exit 2, one error line, nothing on stdout, no traceback
@@ -643,6 +658,38 @@ def test_usage_error_exits_two(argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("barenblatt: error: ")
+
+
+EXTREME = ["--alpha", "2", "--beta", "2", "--gamma", "1", "--c", "1", "--d", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", *EXTREME, "--t", "1e300", "--grid=0:1:3"],
+        ["eval", *EXTREME, "--t", "1e-300", "--grid=0:1:3"],
+        ["ft", *EXTREME, "--t", "1e300", "--grid=0:1:3"],
+        ["sample", *EXTREME, "--t", "1e300", "--n", "2", "--seed", "1"],
+        ["msd", *EXTREME, "--grid", "1e300:1e300:1"],
+        ["msd", *EXTREME, "--grid", "1e-300:1e-299:2"],
+    ],
+    ids=["eval-t-1e300", "eval-t-1e-300", "ft-t-1e300", "sample-t-1e300", "msd-t-1e300",
+         "msd-t-1e-300"],
+)
+def test_time_out_of_float_range_exits_two(argv):
+    # the front radius or density leaves the float range: these ended in an
+    # OverflowError or ZeroDivisionError traceback with exit 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "barenblatt", *argv],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("barenblatt: error: a value at this input leaves the float range")
 
 
 # gamma = 3e7 concentrates the speed law near 0, yet the Beta weight of

@@ -85,6 +85,12 @@ class TestNewFamily:
         with pytest.raises(ValueError):
             new_family(**kwargs)
 
+    @pytest.mark.parametrize("d", [True, np.bool_(True)])
+    def test_bool_dimension_refused(self, d):
+        # int(True) == True, so a bool used to build the d = 1 member
+        with pytest.raises(ValueError, match="d must be an integer >= 1, got True"):
+            new_family(0.5, 2.0, 1.0, 1.0, d)
+
     # C = 1/B(1/2, gamma + 1) at beta = 2, c = 1, d = 1, frozen with mpmath;
     # ln Gamma differences were off by 1.5e-10 and 2.2e-8 relative here
     @pytest.mark.parametrize(
@@ -321,3 +327,9 @@ class TestSelfSimilarity:
         p = wigner()
         x = 10.0 * support_radius(p, 1.0)
         assert self_similarity_residual(p, x, 1.0, 1.1) == 0.0
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, L):
+        # L = nan or inf used to return nan
+        with pytest.raises(ValueError, match="L must be finite and > 0"):
+            self_similarity_residual(wigner(), 0.3, 1.0, L)

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barenblatt.fractional import (
-    RLGrid,
     fbe_residual,
     fractional_solution,
     rl_derivative_numeric,
@@ -19,21 +18,29 @@ from barenblatt.presets import fractional_preset
 
 
 class TestRLGrid:
+    """The L1 scheme's uniform grid: nodes 0, h, ..., t with h = t / n_steps."""
+
     def test_step(self):
-        g = RLGrid(0.1, 1.0, 100, 0.5)
-        assert g.h == 0.01
+        seen = []
+
+        def f(s):
+            seen.append(s)
+            return np.ones_like(s)
+
+        rl_derivative_numeric(f, 0.5, 1.0, 100)
+        assert seen[0][1] == 0.01
+        assert np.array_equal(seen[0], 0.01 * np.arange(101))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RLGrid(0.0, 1.0, 10, 0.5)
-        with pytest.raises(ValueError):
-            RLGrid(0.5, 0.4, 10, 0.5)
-        with pytest.raises(ValueError):
-            RLGrid(0.1, 1.0, 1, 0.5)
-        with pytest.raises(ValueError):
-            RLGrid(0.1, 1.0, 10, 1.0)
-        with pytest.raises(ValueError):
-            RLGrid(0.1, 1.0, 10, 0.0)
+        f = lambda s: np.asarray(s)
+        with pytest.raises(ValueError, match="t must be finite and > 0"):
+            rl_derivative_numeric(f, 0.5, 0.0, 10)
+        with pytest.raises(ValueError, match="n_steps must be >= 2"):
+            rl_derivative_numeric(f, 0.5, 1.0, 1)
+        with pytest.raises(ValueError, match="nu must be in"):
+            rl_derivative_numeric(f, 1.0, 1.0, 10)
+        with pytest.raises(ValueError, match="nu must be in"):
+            rl_derivative_numeric(f, 0.0, 1.0, 10)
 
 
 class TestRlPowerRule:
@@ -80,6 +87,15 @@ class TestRlPowerRule:
         with pytest.raises(ValueError):
             rl_power_rule(0.3, 2.3, 1.0)
 
+    @pytest.mark.parametrize(
+        "exp_beta, nu, name",
+        [(0.5, math.inf, "nu"), (math.inf, 0.5, "exp_beta"), (0.5, math.nan, "nu")],
+    )
+    def test_non_finite_arguments_refused(self, exp_beta, nu, name):
+        # nu = inf used to reach round(-inf) and raise OverflowError
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rl_power_rule(exp_beta, nu, 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             rl_power_rule(-1.0, 0.5, 1.0)
@@ -93,17 +109,16 @@ class TestRlDerivativeNumeric:
     def test_constant_is_exact(self):
         # differences vanish, leaving the initial-value term, which is the
         # power rule at beta=0 exactly
-        g = RLGrid(0.1, 1.0, 100, 0.5)
-        got = rl_derivative_numeric(lambda s: np.ones_like(s), 0.5, g, 1.0)
+        got = rl_derivative_numeric(lambda s: np.ones_like(s), 0.5, 1.0, 100)
         assert got == pytest.approx(rl_power_rule(0.0, 0.5, 1.0), rel=1e-13)
 
     def test_linear_is_exact(self):
         # the piecewise-linear interpolant reproduces f = t, so the scheme
         # hits the closed form at machine precision on every grid
         for n in (10, 37, 100):
-            g = RLGrid(0.1, 1.0, n, 0.5)
-            t = 10 * g.h if n >= 10 else 2 * g.h
-            got = rl_derivative_numeric(lambda s: np.asarray(s), 0.5, g, t)
+            h = 1.0 / n
+            t = 10 * h
+            got = rl_derivative_numeric(lambda s: np.asarray(s), 0.5, t=t, n_steps=10)
             assert got == pytest.approx(rl_power_rule(1.0, 0.5, t), rel=1e-12)
 
     def test_quadratic_convergence_order(self):
@@ -112,38 +127,39 @@ class TestRlDerivativeNumeric:
         for nu in (0.3, 0.5, 0.7):
             errs = []
             for n in (64, 128, 256, 512):
-                g = RLGrid(0.5, 1.0, n, nu)
-                got = rl_derivative_numeric(lambda s: np.asarray(s) ** 2, nu, g, 1.0)
+                got = rl_derivative_numeric(lambda s: np.asarray(s) ** 2, nu, 1.0, n)
                 errs.append(abs(got - rl_power_rule(2.0, nu, 1.0)))
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
             for o in orders:
                 assert abs(o - (2.0 - nu)) <= 0.3
 
     def test_classical_limit(self):
-        g = RLGrid(0.5, 1.0, 2048, 0.999)
-        got = rl_derivative_numeric(lambda s: np.sin(s), 0.999, g, 1.0)
+        got = rl_derivative_numeric(lambda s: np.sin(s), 0.999, 1.0, 2048)
         assert got == pytest.approx(math.cos(1.0), abs=0.05)
 
     def test_grid_misfit_errors(self):
-        g = RLGrid(0.1, 1.0, 100, 0.5)
+        # the one misfit left: fewer than 2 steps
         f = lambda s: np.asarray(s)
-        with pytest.raises(ValueError):
-            rl_derivative_numeric(f, 0.4, g, 1.0)  # order mismatch
-        with pytest.raises(ValueError):
-            rl_derivative_numeric(f, 0.5, g, 0.015)  # off-node
-        with pytest.raises(ValueError):
-            rl_derivative_numeric(f, 0.5, g, 1.5)  # past t_max
-        with pytest.raises(ValueError):
-            rl_derivative_numeric(f, 0.5, g, 0.05)  # below t_min
-        g2 = RLGrid(0.005, 1.0, 100, 0.5)
-        with pytest.raises(ValueError):
-            rl_derivative_numeric(f, 0.5, g2, 0.01)  # node index < 2
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n_steps must be >= 2"):
+                rl_derivative_numeric(f, 0.5, 1.0, n)
+
+    @pytest.mark.parametrize(
+        "nu, t", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)]
+    )
+    def test_non_finite_order_or_time_refused(self, nu, t):
+        with pytest.raises(ValueError, match="nu must be in|t must be finite"):
+            rl_derivative_numeric(lambda s: np.asarray(s), nu, t, 10)
+
+    @pytest.mark.parametrize("n_steps", [10.0, 2.5, True, np.float64(10.0)])
+    def test_non_integer_steps_refused(self, n_steps):
+        with pytest.raises(TypeError, match="n_steps must be an integer"):
+            rl_derivative_numeric(lambda s: np.asarray(s), 0.5, 1.0, n_steps)
 
     def test_rejects_non_finite_data(self):
-        g = RLGrid(0.1, 1.0, 100, 0.5)
         with np.errstate(divide="ignore"):
             with pytest.raises(ValueError):
-                rl_derivative_numeric(lambda s: 1.0 / np.asarray(s), 0.5, g, 1.0)
+                rl_derivative_numeric(lambda s: 1.0 / np.asarray(s), 0.5, 1.0, 100)
 
 
 class TestFractionalSolution:

@@ -161,18 +161,24 @@ class TestNpmePreset:
 
 class TestEpdPreset:
     def test_constant_identity_grid(self):
-        # the mapping constructor itself raises if the algebraic identity
-        # between the closed form and the normalizer breaks; touching the
-        # grid is the test
+        # the closed-form density constant Gamma(nu + d/2) / (pi^{d/2}
+        # Gamma(nu) c^d) is the family normalizer
         for nu in (1.5, 2.0, 3.0, 4.5):
             for d in (1, 2, 3):
                 for c in (0.5, 1.0, 2.0):
-                    raw, fam = epd_preset(nu, c, d)
+                    fam = epd_preset(nu, c, d)
                     assert fam.gamma_exp == nu - 1.0
                     assert fam.alpha == 1.0
+                    closed = math.exp(
+                        math.lgamma(nu + 0.5 * d)
+                        - 0.5 * d * math.log(math.pi)
+                        - math.lgamma(nu)
+                        - d * math.log(c)
+                    )
+                    assert closed == pytest.approx(fam.norm_c, rel=1e-12)
 
     def test_peak_value_d3(self):
-        _, fam = epd_preset(2.0, 1.0, 3)
+        fam = epd_preset(2.0, 1.0, 3)
         assert pdf(fam, np.zeros(3), 1.0) == pytest.approx(
             15.0 / (8.0 * math.pi), rel=1e-14
         )
@@ -181,7 +187,7 @@ class TestEpdPreset:
         # nu = 3/2, c = 2, d = 1 evaluated at (x, sqrt(t)) reproduces the
         # semicircle density at (x, t): same gamma = 1/2 profile, and the
         # amplitude constants agree exactly
-        _, fam = epd_preset(1.5, 2.0, 1)
+        fam = epd_preset(1.5, 2.0, 1)
         wig = wigner_preset()
         assert pdf(fam, 0.6, math.sqrt(0.7)) == pytest.approx(
             WIGNER_AT_06_07, rel=1e-13
@@ -193,7 +199,7 @@ class TestEpdPreset:
                 )
 
     def test_unit_mass(self):
-        _, fam = epd_preset(3.0, 2.0, 2)
+        fam = epd_preset(3.0, 2.0, 2)
         assert quadrature_mass(fam, t=1.3) == pytest.approx(1.0, abs=1e-8)
 
     def test_domain_errors(self):

@@ -435,8 +435,8 @@ class TestRadialPrefactorReport:
             for t in (0.5, 1.0, 2.3):
                 for frac in (0.1, 0.35, 0.6, 0.9):
                     r = frac * support_radius(p, t)
-                    rep = radial_prefactor_report(p, r, t)
-                    assert abs(rep.residual_corrected_form) <= 1e-12
+                    _, corrected = radial_prefactor_report(p, r, t)
+                    assert abs(corrected) <= 1e-12
 
     def test_stated_variant_misses_by_factor_r(self):
         # the stated identity evaluates to r times the density, so its
@@ -444,36 +444,32 @@ class TestRadialPrefactorReport:
         # r = 1 and only there
         p = new_family(0.4, 1.5, 1.2, 1.3, 3)
         for r in (0.2, 0.65, 1.0, 1.2):
-            rep = radial_prefactor_report(p, r, 1.1)
-            assert rep.residual_paper_form == pytest.approx(
+            stated, _ = radial_prefactor_report(p, r, 1.1)
+            assert stated == pytest.approx(
                 r - 1.0, abs=1e-9 * max(1.0, r)
             )
 
     def test_matching_variant_recorded(self):
         p = new_family(0.5, 2.0, 1.5, 1.0, 2)
-        rep = radial_prefactor_report(p, 0.4, 1.0)
-        assert rep.matching_variant == "corrected"
+        stated, corrected = radial_prefactor_report(p, 0.4, 1.0)
+        assert abs(corrected) <= abs(stated)
 
-    def test_report_carries_parameters(self):
+    def test_pair_is_stated_then_corrected(self):
+        # the stated reading is r times the corrected one
         p = new_family(0.5, 2.0, 1.0, 1.5, 4)
-        rep = radial_prefactor_report(p, 0.7, 1.3)
-        assert (rep.d, rep.alpha, rep.beta_exp, rep.gamma_exp, rep.c) == (
-            4,
-            0.5,
-            2.0,
-            1.0,
-            1.5,
-        )
-        assert (rep.r, rep.t) == (0.7, 1.3)
+        pair = radial_prefactor_report(p, 0.7, 1.3)
+        assert type(pair) is tuple and all(type(v) is float for v in pair)
+        stated, corrected = pair
+        assert 1.0 + stated == pytest.approx(0.7 * (1.0 + corrected), rel=1e-14)
 
     def test_both_variants_vanish_at_the_front(self):
         p = new_family(0.5, 2.0, 1.2, 1.0, 3)
         t = 1.0
         r = (1.0 - 1e-7) * support_radius(p, t)
-        rep = radial_prefactor_report(p, r, t)
+        res_stated, res_corrected = radial_prefactor_report(p, r, t)
         u = pdf(p, np.array([r, 0.0, 0.0]), t)
-        stated = u * (1.0 + rep.residual_paper_form)
-        corrected = u * (1.0 + rep.residual_corrected_form)
+        stated = u * (1.0 + res_stated)
+        corrected = u * (1.0 + res_corrected)
         assert abs(stated) <= 1e-5 and abs(corrected) <= 1e-5
 
     def test_domain_errors(self):

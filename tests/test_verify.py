@@ -233,6 +233,11 @@ class TestRunSuite:
         ):
             assert control in names
 
+    def test_seed_recorded_by_every_suite(self):
+        # the library keeps taking a seed for any suite; only the CLI
+        # refuses --seed where no draw reads it
+        assert run_suite("fractional", seed=5).seed == 5
+
     def test_deterministic_reruns(self):
         a = run_suite("representations")
         b = run_suite("representations")
