@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _check_dim, inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta, sphere_surface
+from .specfun import (
+    _check_dim, _real, inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta, sphere_surface,
+)
 
 __all__ = [
     "FamilyParams",
@@ -60,18 +62,12 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
     space so extreme parameter combinations cannot overflow on the way.
     gamma must lie in (0, 1e8].
     """
-    alpha = float(alpha)
-    beta_exp = float(beta_exp)
-    gamma_exp = float(gamma_exp)
-    c = float(c)
-    if alpha <= 0.0 or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if beta_exp <= 0.0 or not math.isfinite(beta_exp):
-        raise ValueError(f"beta_exp must be > 0, got {beta_exp}")
-    if not 0.0 < gamma_exp <= _GAMMA_MAX:
+    alpha = _real("alpha", alpha, 0.0)
+    beta_exp = _real("beta_exp", beta_exp, 0.0)
+    gamma_exp = _real("gamma_exp", gamma_exp, 0.0)
+    if gamma_exp > _GAMMA_MAX:
         raise ValueError(f"gamma_exp must lie in (0, {_GAMMA_MAX:g}], got {gamma_exp}")
-    if c <= 0.0 or not math.isfinite(c):
-        raise ValueError(f"c must be > 0, got {c}")
+    c = _real("c", c, 0.0)
     d = _check_dim(d)
     with np.errstate(over="ignore", invalid="ignore"):
         ln_c = (
@@ -92,16 +88,9 @@ def new_family(alpha, beta_exp, gamma_exp, c, d) -> FamilyParams:
     return FamilyParams(alpha, beta_exp, gamma_exp, c, d, norm_c)
 
 
-def _check_time(t) -> float:
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"t must be finite and > 0, got {t}")
-    return t
-
-
 def support_radius(p: FamilyParams, t) -> float:
     """Front radius r(t) = c t^alpha."""
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     return p.c * t**p.alpha
 
 
@@ -136,14 +125,14 @@ def _profile(p: FamilyParams, r, t: float):
 
 def pdf(p: FamilyParams, x, t):
     """Density u(x, t); see `_radius_of` for accepted point layouts."""
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     out = _profile(p, _radius_of(p, x), t)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def radial_pdf(p: FamilyParams, r, t):
     """Density of the radius |X(t)|: sigma(S^{d-1}) r^{d-1} u(r, t)."""
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be >= 0")
@@ -153,7 +142,7 @@ def radial_pdf(p: FamilyParams, r, t):
 
 def ball_probability(p: FamilyParams, a, t):
     """P(|X(t)| <= a) = I((a/ct^alpha)^beta; d/beta, gamma+1), clamped at 1."""
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     a_arr = np.asarray(a, dtype=float)
     if np.any(a_arr < 0.0):
         raise ValueError("ball radius must be >= 0")
@@ -162,9 +151,10 @@ def ball_probability(p: FamilyParams, a, t):
     return float(out) if np.ndim(a) == 0 else np.asarray(out)
 
 
-def _require_1d(p: FamilyParams):
-    if p.d != 1:
-        raise ValueError(f"operation requires d = 1, got d = {p.d}")
+def _require_dim(p: FamilyParams, caller: str, one: bool):
+    """Refuse a member that `caller` cannot take: d = 1 if `one`, else d >= 2."""
+    if (p.d == 1) != one:
+        raise ValueError(f"{caller} requires d {'= 1' if one else '>= 2'}, got d = {p.d}")
 
 
 def cdf_1d(p: FamilyParams, x, t):
@@ -173,8 +163,8 @@ def cdf_1d(p: FamilyParams, x, t):
     The incomplete-beta argument carries the beta power: that is the only
     reading consistent with the ball law and with quadrature of the pdf.
     """
-    _require_1d(p)
-    t = _check_time(t)
+    _require_dim(p, "cdf_1d", one=True)
+    t = _real("t", t, 0.0)
     x_arr = np.asarray(x, dtype=float)
     z = np.minimum(np.abs(x_arr) / (p.c * t**p.alpha), 1.0) ** p.beta_exp
     half_mass = reg_inc_beta(np.minimum(z, 1.0), 1.0 / p.beta_exp, p.gamma_exp + 1.0)
@@ -184,8 +174,8 @@ def cdf_1d(p: FamilyParams, x, t):
 
 def quantile_1d(p: FamilyParams, q, t):
     """Inverse of cdf_1d; q = 0, 1/2, 1 map to -r(t), 0, r(t)."""
-    _require_1d(p)
-    t = _check_time(t)
+    _require_dim(p, "quantile_1d", one=True)
+    t = _real("t", t, 0.0)
     q_arr = np.asarray(q, dtype=float)
     if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
         raise ValueError("quantile level must lie in [0, 1]")
@@ -196,10 +186,10 @@ def quantile_1d(p: FamilyParams, q, t):
 
 def radial_moment(p: FamilyParams, k, t) -> float:
     """E |X(t)|^k = c^k t^{alpha k} B((d+k)/beta, gamma+1) / B(d/beta, gamma+1)."""
-    t = _check_time(t)
-    k = float(k)
+    t = _real("t", t, 0.0)
+    k = _real("k", k)
     if k < 0.0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {k}")
     ln_ratio = ln_beta((p.d + k) / p.beta_exp, p.gamma_exp + 1.0) - ln_beta(
         p.d / p.beta_exp, p.gamma_exp + 1.0
     )
@@ -208,10 +198,8 @@ def radial_moment(p: FamilyParams, k, t) -> float:
 
 def self_similarity_residual(p: FamilyParams, x, t, L):
     """u(x, t) - L^{d alpha} u(L^alpha x, L t); zero for every member."""
-    t = _check_time(t)
-    L = float(L)
-    if not (0.0 < L < math.inf):
-        raise ValueError(f"L must be finite and > 0, got {L}")
+    t = _real("t", t, 0.0)
+    L = _real("L", L, 0.0)
     r = _radius_of(p, x)
     lhs = _profile(p, r, t)
     rhs = L ** (p.d * p.alpha) * _profile(p, L**p.alpha * r, L * t)

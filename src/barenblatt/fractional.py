@@ -15,10 +15,8 @@ import math
 
 import numpy as np
 
-from .family import _check_time
 from .presets import FractionalParams
-from .sampling import _count
-from .specfun import _ln_gamma_signed, ln_gamma
+from .specfun import _count, _ln_gamma_signed, _real, ln_gamma
 
 __all__ = [
     "rl_power_rule",
@@ -37,13 +35,9 @@ def rl_power_rule(exp_beta: float, nu: float, t: float) -> float:
     values with an explicit sign.  A nonpositive-integer 1+beta-nu is a
     pole of the quotient's denominator and is rejected.
     """
-    exp_beta = float(exp_beta)
-    nu = float(nu)
-    if not (-1.0 < exp_beta < math.inf):
-        raise ValueError(f"exp_beta must be finite and > -1, got {exp_beta}")
-    if not (0.0 < nu < math.inf):
-        raise ValueError(f"nu must be finite and > 0, got {nu}")
-    t = _check_time(t)
+    exp_beta = _real("exp_beta", exp_beta, -1.0)
+    nu = _real("nu", nu, 0.0)
+    t = _real("t", t, 0.0)
     z = 1.0 + exp_beta - nu
     if z <= 1e-12 and abs(z - round(z)) <= 1e-12:
         raise ValueError(
@@ -68,10 +62,8 @@ def rl_derivative_numeric(f, nu: float, t: float, n_steps: int) -> float:
     (the interpolant is f itself).  f is evaluated on the nodes, so it
     must be finite at 0 and vectorized over a node array.
     """
-    nu = float(nu)
-    if not (0.0 < nu < 1.0):
-        raise ValueError(f"nu must be in (0, 1), got {nu}")
-    t = _check_time(t)
+    nu = _real("nu", nu, 0.0, 1.0)
+    t = _real("t", t, 0.0)
     m = _count("n_steps", n_steps, least=2)
     h = t / m
     nodes = h * np.arange(m + 1)
@@ -92,7 +84,7 @@ def fractional_solution(fp: FractionalParams, x, t):
     An unnormalized member shape with alpha = nu, beta = 2, gamma = 1 and
     front scale sqrt(C1/C2); not a probability density.  Elementwise in x.
     """
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     x_arr = np.asarray(x, dtype=float)
     s = (fp.C2 / fp.C1) * x_arr**2 * t ** (-2.0 * fp.nu)
     out = fp.C1 * t ** (-fp.nu) * np.maximum(1.0 - s, 0.0)
@@ -108,8 +100,8 @@ def fbe_residual(fp: FractionalParams, x: float, t: float) -> float:
     resulting powers, so the residual vanishes to rounding on the strict
     interior (where the positive part is inactive).
     """
-    x = float(x)
-    t = _check_time(t)
+    x = _real("x", x)
+    t = _real("t", t, 0.0)
     if not (x**2 < (fp.C1 / fp.C2) * t ** (2.0 * fp.nu)):
         raise ValueError("(x, t) is not strictly inside the support")
     nu = fp.nu

@@ -39,7 +39,7 @@ import warnings
 from dataclasses import dataclass
 
 from .family import FamilyParams, new_family
-from .specfun import _check_dim, _ln_gamma_signed, ln_beta, ln_gamma, ln_sphere
+from .specfun import _check_dim, _count, _ln_gamma_signed, _real, ln_beta, ln_gamma, ln_sphere
 
 __all__ = [
     "PLEParams",
@@ -109,9 +109,7 @@ def ple_preset(p: float, d: int):
     mass constraint in the module docstring.  gamma blows up as p -> 2+,
     which is flagged as near-degenerate.
     """
-    p = float(p)
-    if not (p > 2.0):
-        raise ValueError(f"p must be > 2, got {p}")
+    p = _real("p", p, 2.0)
     d = _check_dim(d)
     beta_exp = p / (p - 1.0)
     gamma_exp = (p - 1.0) / (p - 2.0)
@@ -143,12 +141,10 @@ def npme_preset(m: float, nu: float, d: int):
     amplitude is then the unit-mass normalizer, which is recomputed and
     compared; the relative discrepancy rides along in NPMEParams.
     """
-    m = float(m)
-    nu = float(nu)
-    if not (m > 1.0):
-        raise ValueError(f"m must be > 1, got {m}")
-    if not (0.0 < nu <= 2.0):
-        raise ValueError(f"nu must be in (0, 2], got {nu}")
+    m = _real("m", m, 1.0)
+    nu = _real("nu", nu, 0.0)
+    if nu > 2.0:
+        raise ValueError(f"nu must lie in (0, 2], got {nu}")
     d = _check_dim(d)
     alpha = 1.0 / (d * (m - 1.0) + nu)
     gamma_exp = nu / (2.0 * (m - 1.0))
@@ -196,13 +192,8 @@ def epd_preset(nu: float, c: float, d: int) -> FamilyParams:
     gamma <= 0 and a boundary blow-up outside the family's invariants, so
     it is rejected.
     """
-    nu = float(nu)
-    c = float(c)
-    if not (nu > 1.0):
-        raise ValueError(f"nu must be > 1, got {nu}")
-    if not (c > 0.0):
-        raise ValueError(f"c must be > 0, got {c}")
-    return new_family(1.0, 2.0, nu - 1.0, c, _check_dim(d))
+    # new_family refuses c and d by name
+    return new_family(1.0, 2.0, _real("nu", nu, 1.0) - 1.0, c, d)
 
 
 def wigner_preset() -> FamilyParams:
@@ -222,9 +213,7 @@ def zkb_source_preset(m: float, d: int) -> FamilyParams:
     unit mass (module docstring); both properties then hold by
     construction and are what the PDE residual suite certifies.
     """
-    m = float(m)
-    if not (m > 1.0):
-        raise ValueError(f"m must be > 1, got {m}")
+    m = _real("m", m, 1.0)
     d = _check_dim(d)
     gamma_exp = 1.0 / (m - 1.0)
     alpha = 1.0 / (d * (m - 1.0) + 2.0)
@@ -241,9 +230,7 @@ def catalan(m: int) -> int:
     Python integers are unbounded, so the division is exact at every m
     and there is no overflow range to police.
     """
-    m = int(m)
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+    m = _count("m", m)
     return math.comb(2 * m, m) // (m + 1)
 
 
@@ -255,9 +242,7 @@ def fractional_preset(nu: float) -> FractionalParams:
     both constants there.  nu = 1/4 is the Gamma(0) pole and is rejected
     exactly, as is anything outside (0, 1/3).
     """
-    nu = float(nu)
-    if not (0.0 < nu < 1.0 / 3.0):
-        raise ValueError(f"nu must be in (0, 1/3), got {nu}")
+    nu = _real("nu", nu, 0.0, 1.0 / 3.0)
     if nu == 0.25:
         raise ValueError("nu = 1/4 is excluded (coefficient pole)")
     ln3, s3 = _ln_gamma_signed(1.0 - 3.0 * nu)

@@ -32,14 +32,13 @@ gaps.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .family import FamilyParams, _check_time
-from .specfun import inv_reg_inc_beta
+from .family import FamilyParams, _require_dim
+from .specfun import _check_dim, _count, _real, inv_reg_inc_beta
 
 __all__ = [
     "RngStream",
@@ -77,20 +76,6 @@ def _mix64(z):
 def _child_id(stream_id, k):
     """Stream id of child k of stream_id (int or uint64 array of k)."""
     return _mix64(stream_id ^ (((k + 1) * _GOLDEN) & _MASK64))
-
-
-def _count(name, v, least=0):
-    """v as an int >= least.  A float or a bool is refused: int() would
-    truncate it to a silently wrong count."""
-    try:
-        n = operator.index(v)
-    except TypeError:
-        n = None
-    if n is None or isinstance(v, (bool, np.bool_)):
-        raise TypeError(f"{name} must be an integer, got {v!r}")
-    if n < least:
-        raise ValueError(f"{name} must be >= {least}, got {n}")
-    return n
 
 
 # Philox4x64-10 (Salmon et al., SC'11), the generator numpy's Philox runs.
@@ -241,8 +226,7 @@ _OPEN_HI = np.nextafter(1.0, 0.0)
 
 def sample_beta(rng: RngStream, a, b, size=None):
     """Beta(a, b) variates by inverse CDF, clamped to the open interval."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError("sample_beta requires a > 0 and b > 0")
+    a, b = _real("a", a, 0.0), _real("b", b, 0.0)
     u = rng.uniform_open(size)
     y = inv_reg_inc_beta(u, a, b)
     return float(np.clip(y, _OPEN_LO, _OPEN_HI)) if size is None else np.clip(y, _OPEN_LO, _OPEN_HI)
@@ -253,8 +237,7 @@ def sample_velocity(rng: RngStream, p: FamilyParams, size=None):
 
     The density is (beta/c)(1 - (v/c)^beta)^gamma / B(1/beta, gamma+1).
     """
-    if p.d != 1:
-        raise ValueError(f"sample_velocity requires d = 1, got d = {p.d}")
+    _require_dim(p, "sample_velocity", one=True)
     y = sample_beta(rng, 1.0 / p.beta_exp, p.gamma_exp + 1.0, size)
     return p.c * y ** (1.0 / p.beta_exp)
 
@@ -264,9 +247,8 @@ def sample_position_1d(rng: RngStream, p: FamilyParams, t, size=None):
 
     Draw order: signs first, then velocities.
     """
-    if p.d != 1:
-        raise ValueError(f"sample_position_1d requires d = 1, got d = {p.d}")
-    t = _check_time(t)
+    _require_dim(p, "sample_position_1d", one=True)
+    t = _real("t", t, 0.0)
     d_sign = rng.signs(size)
     v = sample_velocity(rng, p, size)
     return d_sign * v * t**p.alpha
@@ -274,9 +256,7 @@ def sample_position_1d(rng: RngStream, p: FamilyParams, t, size=None):
 
 def sample_direction(rng: RngStream, d: int, size=None):
     """Uniform directions on S^{d-1}: normalized polar-method normals."""
-    if int(d) != d or d < 2:
-        raise ValueError("sample_direction requires integer d >= 2")
-    d = int(d)
+    d = _check_dim(d, least=2)
     n = 1 if size is None else _count("size", size)
     z = rng.normals(n * d).reshape(n, d)
     z /= np.sqrt(np.sum(z * z, axis=1))[:, None]
@@ -292,7 +272,7 @@ def sample_position(rng: RngStream, p: FamilyParams, t, size=None):
     """
     if p.d == 1:
         return sample_position_1d(rng, p, t, size)
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     y = sample_beta(rng, p.d / p.beta_exp, p.gamma_exp + 1.0, size)
     r = p.c * t**p.alpha * np.asarray(y) ** (1.0 / p.beta_exp)
     theta = sample_direction(rng, p.d, size)
@@ -307,9 +287,7 @@ def sample_projection_w(rng: RngStream, d: int, size=None):
 
     d = 3 gives W exactly uniform on (0,1); d = 2 gives W^2 arcsine.
     """
-    if int(d) != d or d < 2:
-        raise ValueError("sample_projection_w requires integer d >= 2")
-    d = int(d)
+    d = _check_dim(d, least=2)
     b = sample_beta(rng, 0.5, (d - 1) / 2.0, size)
     return math.sqrt(b) if size is None else np.sqrt(b)
 
@@ -394,14 +372,8 @@ def sample_epd_telegraph(rng: RngStream, xi, c, t, eps, size=None):
     extend the same paths instead of resampling them, and variate i does
     not depend on size.  Paths run in blocks of 1024.
     """
-    xi = float(xi)
-    c = float(c)
-    t = float(t)
-    eps = float(eps)
-    if not all(0.0 < v < math.inf for v in (xi, c, t)):
-        raise ValueError(f"sample_epd_telegraph requires finite xi, c, t > 0, got {xi}, {c}, {t}")
-    if not (0.0 < eps < t):
-        raise ValueError(f"eps must lie in (0, t), got eps={eps}, t={t}")
+    xi, c, t = _real("xi", xi, 0.0), _real("c", c, 0.0), _real("t", t, 0.0)
+    eps = _real("eps", eps, 0.0, t)
     n = 1 if size is None else _count("size", size)
     ids = _child_id(rng.stream_id, np.arange(rng._spawned, rng._spawned + n, dtype=np.uint64))
     rng._spawned += n
@@ -420,8 +392,7 @@ def ks_test(samples, cdf, alpha: float = 0.01) -> KSResult:
     c(alpha)/sqrt(n) with c(alpha) = sqrt(-ln(alpha/2)/2), adequate for
     the n >= 1e4 sizes used here (no small-n tables).
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _real("alpha", alpha, 0.0, 1.0)
     x = np.sort(np.asarray(samples, dtype=float).ravel())
     n = x.size
     if n < 10:

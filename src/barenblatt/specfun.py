@@ -12,12 +12,21 @@ one integrand call.  Scalar inputs come back as Python floats, array inputs
 broadcast elementwise; ln Gamma and ln B of scalars run the same formulas
 on numpy scalars, with the array path's bits.  The incomplete beta and its
 inverse take scalar a and b and broadcast over their first argument.
+
+Argument policy for the whole package: every scalar a public function
+takes goes through one of three helpers here before anything is derived
+from it.  `_real` returns a finite float inside an open interval, `_count`
+an int with a lower bound, and `_check_dim` a dimension d with a lower
+bound.  Each refuses NaN, +-inf and a bool (and a non-integer count or d)
+with an error whose message starts with the argument's name; a closed end
+of an interval is one explicit comparison after `_real`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -33,6 +42,43 @@ __all__ = [
     "sphere_surface",
     "integrate",
 ]
+
+
+def _real(name, v, lo=-math.inf, hi=math.inf) -> float:
+    """v as a float inside the open interval (lo, hi), so finite: NaN, +-inf
+    and a bool are refused by name."""
+    if isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a real number, got {v!r}")
+    x = float(v)
+    # NaN fails both comparisons, and an infinity the strict one at its end
+    if not lo < x < hi:
+        where = f" and > {lo:g}" if lo > -math.inf else ""
+        if hi < math.inf:
+            where = f" and lie in ({lo:g}, {hi:g})"
+        raise ValueError(f"{name} must be finite{where}, got {x}")
+    return x
+
+
+def _count(name, v, least=0):
+    """v as an int >= least.  A float or a bool is refused: int() would
+    truncate it to a silently wrong count."""
+    try:
+        n = operator.index(v)
+    except TypeError:
+        n = None
+    if n is None or isinstance(v, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {v!r}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
+
+
+def _check_dim(d, least=1) -> int:
+    """d as an int >= least; a bool, non-finite or non-integer d is refused,
+    not truncated."""
+    if isinstance(d, (bool, np.bool_)) or not (least <= d < math.inf and int(d) == d):
+        raise ValueError(f"d must be an integer >= {least}, got {d}")
+    return int(d)
 
 
 def _as_1d(x):
@@ -200,10 +246,8 @@ def _at_pair(core, name, first, v, a, b):
     b.  Scalar in, float out."""
     if np.ndim(a) or np.ndim(b):
         raise ValueError(f"{name} takes scalar a and b")
-    a = float(a)
-    b = float(b)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"{name} requires a > 0 and b > 0")
+    a = _real("a", a, 0.0)
+    b = _real("b", b, 0.0)
     v = np.asarray(v, dtype=float)
     v1 = v.ravel()
     if not (np.all(v1 >= 0.0) and np.all(v1 <= 1.0)):
@@ -517,9 +561,9 @@ def bessel_j(mu, x):
     routes agree to ~1e-11 across the switchover for the moderate orders
     used here (mu <= d/2).  Broadcasts over x; scalar in, float out.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < 0.0:
-        raise ValueError("bessel_j requires order mu >= 0")
+    mu = _real("mu", mu)
+    if mu < 0.0:
+        raise ValueError(f"mu must be >= 0, got {mu}")
     arr, scalar, shape = _as_1d(x)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ValueError("bessel_j requires finite x >= 0")
@@ -534,13 +578,6 @@ def bessel_j(mu, x):
 
 # ----------------------------------------------------------------------
 # sphere measure
-
-def _check_dim(d) -> int:
-    """d as an int >= 1; a non-integer or bool d is refused, not truncated."""
-    if isinstance(d, (bool, np.bool_)) or int(d) != d or int(d) < 1:
-        raise ValueError(f"d must be an integer >= 1, got {d}")
-    return int(d)
-
 
 def ln_sphere(d) -> float:
     """ln of the surface measure of the unit sphere in R^d."""
@@ -648,10 +685,8 @@ def integrate(f, lo, hi):
     interval and, for an (n, m) integrand, the column with the largest
     open error.
     """
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("integration limits must be finite")
+    lo = _real("lo", lo)
+    hi = _real("hi", hi)
     sign = 1.0
     if lo > hi:
         lo, hi, sign = hi, lo, -1.0

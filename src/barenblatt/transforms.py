@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import FamilyParams, _check_time, pdf, support_radius
-from .specfun import bessel_j, beta_fn, integrate, ln_beta, ln_gamma, sphere_surface
+from .family import FamilyParams, _require_dim, pdf, support_radius
+from .specfun import _real, bessel_j, beta_fn, integrate, ln_beta, ln_gamma, sphere_surface
 
 __all__ = [
     "EKParams",
@@ -46,8 +46,7 @@ def _beta_mean(h, a: float, b: float):
     Like an `integrate` integrand, h may return (n,) or (n, m) values on n
     nodes; the result is then a float or an (m,) array.
     """
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"Beta parameters must be > 0, got a = {a}, b = {b}")
+    a, b = _real("a", a, 0.0), _real("b", b, 0.0)
     ln_b = ln_beta(a, b)
 
     def weighted(x):
@@ -66,13 +65,6 @@ def _beta_mean(h, a: float, b: float):
     return integrate(weighted, 0.0, 2.0)
 
 
-def _require_dim(p: FamilyParams, want_1d: bool):
-    if want_1d and p.d != 1:
-        raise ValueError(f"operation requires d = 1, got d = {p.d}")
-    if not want_1d and p.d < 2:
-        raise ValueError(f"operation requires d >= 2, got d = {p.d}")
-
-
 def _char_fn(p: FamilyParams, xi, t, kernel, a_max=math.inf):
     """E[kernel(a U^{1/beta})], a = xi c t^alpha, U ~ Beta(d/beta, gamma+1).
 
@@ -80,7 +72,7 @@ def _char_fn(p: FamilyParams, xi, t, kernel, a_max=math.inf):
     The nonzero entries of xi (finite; >= 0 for d >= 2) are the columns of
     one `_beta_mean` call, and xi = 0 gives exactly 1.  Scalar in, float out.
     """
-    t = _check_time(t)
+    t = _real("t", t, 0.0)
     arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("xi must be finite")
@@ -110,7 +102,7 @@ def char_fn_1d(p: FamilyParams, xi, t):
     array (one vector quadrature): scalar in, float out.  Real and even in
     xi; exactly 1 at xi = 0.
     """
-    _require_dim(p, want_1d=True)
+    _require_dim(p, "char_fn_1d", one=True)
     return _char_fn(p, xi, t, np.cos)
 
 
@@ -147,7 +139,7 @@ def char_fn_radial(p: FamilyParams, xi_norm, t):
     value is 1.  xi_norm may be an array (one vector quadrature): scalar
     in, float out.
     """
-    _require_dim(p, want_1d=False)
+    _require_dim(p, "char_fn_radial", one=False)
     mu = 0.5 * p.d - 1.0
     scale = math.exp(ln_gamma(0.5 * p.d))
     return _char_fn(p, xi_norm, t, lambda w: scale * _g_bessel_ratio(mu, w))
@@ -185,7 +177,7 @@ def char_fn_projection(p: FamilyParams, xi_norm, t):
     representation.  xi_norm may be an array (one vector quadrature):
     scalar in, float out.  c |xi| t^alpha > 60 raises.
     """
-    _require_dim(p, want_1d=False)
+    _require_dim(p, "char_fn_projection", one=False)
     return _char_fn(p, xi_norm, t, lambda w: _mean_cos_projection(p.d, w), a_max=60.0)
 
 
@@ -200,9 +192,7 @@ class EKParams:
 
     def __post_init__(self):
         for name, low in (("mu", 0.0), ("eta", 0.0), ("zeta", -1.0)):
-            v = getattr(self, name)
-            if not (low < v < math.inf):
-                raise ValueError(f"{name} must be finite and > {low:g}, got {v}")
+            _real(name, getattr(self, name), low)
 
 
 def ek_integral(ek: EKParams, f, x) -> float:
@@ -224,9 +214,7 @@ def ek_integral(ek: EKParams, f, x) -> float:
     logs, so a value that is a float comes out even where the prefactor
     alone is not (mu beyond about 171).
     """
-    x = float(x)
-    if not (0.0 < x < math.inf):
-        raise ValueError(f"x must be finite and > 0, got {x}")
+    x = _real("x", x, 0.0)
     inv_eta = 1.0 / ek.eta
     mean = _beta_mean(lambda s: np.asarray(f(x * s**inv_eta), dtype=float), ek.zeta + 1.0, ek.mu)
     if mean == 0.0:
@@ -247,12 +235,8 @@ def epd_dalembert_1d(f, xi_param, c, x, t) -> float:
     with damping coefficient 2 xi / t.  At t = 0 the average collapses to
     f(x).
     """
-    xi_param, c, x, t = float(xi_param), float(c), float(x), float(t)
-    if not (0.0 < xi_param < math.inf):
-        raise ValueError(f"xi_param must be finite and > 0, got {xi_param}")
-    for name, v in (("c", c), ("x", x), ("t", t)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    xi_param = _real("xi_param", xi_param, 0.0)
+    c, x, t = _real("c", c), _real("x", x), _real("t", t)
     if t == 0.0:
         return float(f(np.asarray(x)))
 
@@ -271,8 +255,8 @@ def velocity_representation_residual(p: FamilyParams, x, t):
     residual is zero to rounding everywhere (both vanish outside the
     front).  Elementwise in x.
     """
-    _require_dim(p, want_1d=True)
-    t = _check_time(t)
+    _require_dim(p, "velocity_representation_residual", one=True)
+    t = _real("t", t, 0.0)
     x_arr = np.asarray(x, dtype=float)
     v = np.abs(x_arr) / t**p.alpha
     body = np.maximum(1.0 - np.minimum(v / p.c, 1.0) ** p.beta_exp, 0.0)
@@ -297,11 +281,9 @@ def radial_prefactor_report(p: FamilyParams, r, t) -> tuple:
     gamma+1)); the corrected form divides by one more power of r.  Which
     one closes is recorded, not assumed.
     """
-    _require_dim(p, want_1d=False)
-    r = float(r)
-    t = _check_time(t)
-    if not (0.0 < r < support_radius(p, t)):
-        raise ValueError("r must lie strictly inside the support")
+    _require_dim(p, "radial_prefactor_report", one=False)
+    t = _real("t", t, 0.0)
+    r = _real("r", r, 0.0, support_radius(p, t))
     mu_pow = 0.5 * p.d - 1.0
     b_z = beta_fn((0.5 * p.d + 1.0) / p.beta_exp, p.gamma_exp + 1.0)
     b_r = beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)

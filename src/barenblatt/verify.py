@@ -42,7 +42,7 @@ from . import transforms as trans_mod
 from ._table import write_table
 from .family import FamilyParams, new_family, pdf, radial_pdf, support_radius
 from .sampling import RngStream
-from .specfun import bessel_j, integrate, reg_inc_beta
+from .specfun import _count, _real, bessel_j, integrate, reg_inc_beta
 
 __all__ = [
     "ResidualReport",
@@ -150,9 +150,9 @@ def _second_order_residual(u_of, damp, speed2, d, t, h, xs):
 
 
 def _dyadic_h(h, levels):
-    if levels < 3:
-        raise ValueError(f"need >= 3 dyadic levels for an order estimate, got {levels}")
-    return [h / 2**i for i in range(levels)]
+    # three levels are the fewest that give an order estimate
+    h = _real("h", h, 0.0)
+    return [h / 2**i for i in range(_count("levels", levels, least=3))]
 
 
 def _check_stencil(fam: FamilyParams, radii, t, h):
@@ -167,6 +167,7 @@ def _member_points(fam: FamilyParams, t, interior_fraction):
     """u(r, t) along the first axis, the 8 evaluation radii (up to
     interior_fraction of the front) and max|u| over them at t."""
     u_of = lambda r, tt: _u_on_radii(fam, r, tt)
+    interior_fraction = _real("interior_fraction", interior_fraction, 0.0)
     radii = np.linspace(0.15, 1.0, 8) * interior_fraction * support_radius(fam, t)
     return u_of, radii, float(np.max(np.abs(u_of(radii, t))))
 
@@ -212,13 +213,13 @@ def pme_residual(
     that must not converge.
     """
     fam = preset_mod.zkb_source_preset(m, d)
-    if gamma_scale != 1.0:
+    if _real("gamma_scale", gamma_scale, 0.0) != 1.0:
         fam = new_family(fam.alpha, 2.0, fam.gamma_exp * gamma_scale, fam.c, d)
+    hs = _dyadic_h(h, levels)
     u_of, radii, umax = _member_points(fam, t, interior_fraction)
     _check_stencil(fam, radii, t, h)
     kappa = (m - 1.0) / m
     phi = lambda u: u**m
-    hs = _dyadic_h(h, levels)
     res = [_parabolic_residual(u_of, phi, kappa, d, t, hh, radii) / umax for hh in hs]
     notes = ""
     if gamma_scale == 1.0:
@@ -246,13 +247,13 @@ def epd_residual(
     fundamental solution.  alpha_shift perturbs the self-similarity
     exponent as a negative control."""
     fam = preset_mod.epd_preset(nu, c, d)
-    if alpha_shift != 0.0:
+    if _real("alpha_shift", alpha_shift, -1.0) != 0.0:
         fam = new_family(1.0 + alpha_shift, 2.0, nu - 1.0, c, d)
+    hs = _dyadic_h(h, levels)
     u_of, radii, umax = _member_points(fam, t, interior_fraction)
     _check_stencil(fam, radii, t, h)
     damp = lambda tt: (d + 2.0 * nu - 1.0) / tt
     speed2 = lambda tt: c**2
-    hs = _dyadic_h(h, levels)
     res = [
         _second_order_residual(u_of, damp, speed2, d, t, hh, radii) / umax for hh in hs
     ]
@@ -276,11 +277,10 @@ def epd_type_wave_residual(
     profile_exponent_scale != 1 moves the PROFILE's exponent while the
     equation keeps alpha: the negative control.
     """
-    if not (alpha > 0.0 and v > 0.0):
-        raise ValueError("alpha and v must be > 0")
+    alpha, v = _real("alpha", alpha, 0.0), _real("v", v, 0.0)
     t = 1.0
     g = lambda s: np.exp(-np.asarray(s) ** 2)
-    a_prof = alpha * profile_exponent_scale
+    a_prof = alpha * _real("profile_exponent_scale", profile_exponent_scale, 0.0)
 
     def u_of(x, tt):
         return g(np.asarray(x) - v * tt**a_prof)
@@ -421,8 +421,6 @@ def _suite_representations(report: SuiteReport):
     worst_plain = 0.0
     for member in _GRID_MEMBERS:
         fam = new_family(*member)
-        if fam.beta_exp == 1.0:
-            continue
         t = 1.1
         rt = fam.c * t**fam.alpha
         inv_b = 1.0 / fam.beta_exp
@@ -895,9 +893,13 @@ def run_suite(
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    report = SuiteReport(suite=name, seed=int(seed))
+    report = SuiteReport(suite=name, seed=_count("seed", seed))
     suite, wanted = _SUITES[name]
-    options = {"threads": threads, "h_levels": h_levels, "seed": report.seed}
+    options = {
+        "threads": _count("threads", threads, least=1),
+        "h_levels": _count("h_levels", h_levels, least=3),
+        "seed": report.seed,
+    }
     suite(report, **{k: options[k] for k in wanted})
     if out_dir is not None:
         _write_reports(report, out_dir)

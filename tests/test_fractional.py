@@ -37,9 +37,9 @@ class TestRLGrid:
             rl_derivative_numeric(f, 0.5, 0.0, 10)
         with pytest.raises(ValueError, match="n_steps must be >= 2"):
             rl_derivative_numeric(f, 0.5, 1.0, 1)
-        with pytest.raises(ValueError, match="nu must be in"):
+        with pytest.raises(ValueError, match=r"nu must be finite and lie in \(0, 1\)"):
             rl_derivative_numeric(f, 1.0, 1.0, 10)
-        with pytest.raises(ValueError, match="nu must be in"):
+        with pytest.raises(ValueError, match=r"nu must be finite and lie in \(0, 1\)"):
             rl_derivative_numeric(f, 0.0, 1.0, 10)
 
 
@@ -148,7 +148,7 @@ class TestRlDerivativeNumeric:
         "nu, t", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)]
     )
     def test_non_finite_order_or_time_refused(self, nu, t):
-        with pytest.raises(ValueError, match="nu must be in|t must be finite"):
+        with pytest.raises(ValueError, match="nu must be finite|t must be finite"):
             rl_derivative_numeric(lambda s: np.asarray(s), nu, t, 10)
 
     @pytest.mark.parametrize("n_steps", [10.0, 2.5, True, np.float64(10.0)])

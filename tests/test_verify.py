@@ -76,7 +76,7 @@ class TestPmeResidual:
             pme_residual(2.0, 1, t=1.0, h=0.02, interior_fraction=1.0)
 
     def test_too_few_levels_rejected(self):
-        with pytest.raises(ValueError, match="dyadic levels"):
+        with pytest.raises(ValueError, match="levels must be >= 3"):
             pme_residual(2.0, 1, t=1.0, h=0.02, levels=2)
 
 
