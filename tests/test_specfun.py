@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -242,6 +243,40 @@ def forward_lanes(monkeypatch):
     return lanes
 
 
+# the (d/beta, gamma + 1) of the benchmark's sample members
+SAMPLE_PAIRS = [(0.5, 1.5), (0.4, 1.8), (2.0 / 3.0, 3.0), (1.0 / 3.0, 2.0), (0.5, 3.5),
+                (4.0 / 3.0, 2.0), (2.0, 2.2), (1.5, 3.0), (2.0, 2.5), (2.5, 2.5)]
+SMALL_B_PAIRS = [(4.0, 0.2), (0.05, 0.05), (9.1, 0.068)]
+
+
+def sample_member_lanes():
+    """(a, b, p) for each sample member: 2e4 open uniforms from one stream."""
+    rng = np.random.default_rng(7001)
+    return [(a, b, rng.random(20_000) + 2.0**-54) for a, b in SAMPLE_PAIRS]
+
+
+def small_b_lanes():
+    rng = np.random.default_rng(20261018)
+    return np.concatenate([rng.uniform(0.0, 1.0, 4000), [0.5, 1.0 - 1e-6], [1e-6, 1e-16]])
+
+
+def tail_lanes(rng, n):
+    """n uniform p, then n/4 down to 1e-30 and n/4 up to 1 - 1e-12, both
+    log-uniform in their tail."""
+    return np.concatenate([
+        rng.uniform(0.0, 1.0, n),
+        np.exp(rng.uniform(math.log(1e-30), math.log(0.5), n // 4)),
+        -np.expm1(rng.uniform(math.log(1e-12), math.log(0.5), n // 4)),
+    ])
+
+
+def wide_pair_lanes():
+    """Lanes in both tails at (1/2, 1e6 + 1) and (1e5, 1e5), where the
+    forward itself is only good to about 1e-11."""
+    rng = np.random.default_rng(2021)
+    return [(a, b, tail_lanes(rng, 2000)) for a, b in [(0.5, 1e6 + 1.0), (1e5, 1e5)]]
+
+
 class TestInvRegIncBeta:
     def test_frozen_value(self):
         # mpmath root of I_x(2.5, 0.7) = 0.3
@@ -291,12 +326,11 @@ class TestInvRegIncBeta:
         got = per_pair(inv_reg_inc_beta, p, a, b)
         assert np.max(np.abs(got - scipy.special.betaincinv(a, b, p))) <= 1e-10
 
-    @pytest.mark.parametrize("a, b", [(4.0, 0.2), (0.05, 0.05), (9.1, 0.068)])
+    @pytest.mark.parametrize("a, b", SMALL_B_PAIRS)
     def test_against_scipy_small_b(self, a, b, forward_lanes):
         # b < 1: the density blows up at x = 1, so near there the ulp of x
         # keeps the residual above 1e-13 and lanes end on a pinched bracket
-        rng = np.random.default_rng(20261018)
-        p = np.concatenate([rng.uniform(0.0, 1.0, 4000), [0.5, 1.0 - 1e-6], [1e-6, 1e-16]])
+        p = small_b_lanes()
         x = inv_reg_inc_beta(p, a, b)
         # a step below half an ulp moves one ulp, so pinched lanes cost no
         # more than the rest
@@ -349,14 +383,30 @@ class TestInvRegIncBeta:
         # the (d/beta, gamma + 1) of the benchmark's sample members: 2.0 to
         # 2.08 lanes per lane, where a linear start takes 2.7 to 3.0, Newton
         # steps 2.3 to 2.8 and the analytic seed of old 4.8 to 5.8
-        pairs = [(0.5, 1.5), (0.4, 1.8), (2.0 / 3.0, 3.0), (1.0 / 3.0, 2.0), (0.5, 3.5),
-                 (4.0 / 3.0, 2.0), (2.0, 2.2), (1.5, 3.0), (2.0, 2.5), (2.5, 2.5)]
-        rng = np.random.default_rng(7001)
-        n = 20_000
-        for a, b in pairs:
+        for a, b, p in sample_member_lanes():
             forward_lanes[0] = 0
-            inv_reg_inc_beta(rng.random(n) + 2.0**-54, a, b)
-            assert forward_lanes[0] <= 2.2 * n, (a, b)
+            inv_reg_inc_beta(p, a, b)
+            assert forward_lanes[0] <= 2.2 * p.size, (a, b)
+
+    @pytest.mark.parametrize(
+        "lanes, digest",
+        [
+            (sample_member_lanes,
+             "a03075504d86bccaf6ab60b9103ea9dff22ab021daae8fb4e2aa36afa84384b7"),
+            (lambda: [(a, b, small_b_lanes()) for a, b in SMALL_B_PAIRS],
+             "f6e7486184b7cd0500a473cc7569a92016c86c2f927227e6638514a6e7f5cf6a"),
+            (wide_pair_lanes,
+             "83e65c27738b743b7f6149a718281936b9a32ce9ed8f6d1e686abe679627b1fd"),
+        ],
+        ids=["sample-members", "small-b", "wide-pairs"],
+    )
+    def test_pinned_bytes(self, lanes, digest):
+        # SHA-256 of the float64 roots: a change to how a step is confirmed
+        # must return the same x on every lane
+        h = hashlib.sha256()
+        for a, b, p in lanes():
+            h.update(inv_reg_inc_beta(p, a, b).tobytes())
+        assert h.hexdigest() == digest
 
     def test_nonconvergence_names_lane_and_stage(self, monkeypatch):
         # at (0.05, 0.05) the lane p = 1e-20 meets 1e-13 at its seed and is
