@@ -4,8 +4,10 @@ Randomness comes from Philox4x64 (counter-based) keyed by (seed,
 stream_id): the same key reproduces the same sequence on any platform and
 any thread layout.  All beta-distributed quantities are sampled by inverse
 CDF through inv_reg_inc_beta (Halley steps from a forward-table seed, about
-two incomplete-beta evaluations per variate) - slower than gamma-ratio
-tricks but exactly reproducible and backed by the tested inverse routine.
+one incomplete-beta evaluation per variate besides the table: the step is
+mostly confirmed by integrating the density across it) - slower than
+gamma-ratio tricks but exactly reproducible and backed by the tested
+inverse routine.
 
 Draw-order contracts (these make reruns byte-identical, so they are part
 of the interface and must not be reordered):
@@ -227,6 +229,8 @@ _OPEN_HI = np.nextafter(1.0, 0.0)
 def sample_beta(rng: RngStream, a, b, size=None):
     """Beta(a, b) variates by inverse CDF, clamped to the open interval."""
     a, b = _real("a", a, 0.0), _real("b", b, 0.0)
+    if size is not None:
+        size = _count("size", size)
     u = rng.uniform_open(size)
     y = inv_reg_inc_beta(u, a, b)
     return float(np.clip(y, _OPEN_LO, _OPEN_HI)) if size is None else np.clip(y, _OPEN_LO, _OPEN_HI)
@@ -249,6 +253,8 @@ def sample_position_1d(rng: RngStream, p: FamilyParams, t, size=None):
     """
     _require_dim(p, "sample_position_1d", one=True)
     t = _real("t", t, 0.0)
+    if size is not None:
+        size = _count("size", size)
     d_sign = rng.signs(size)
     v = sample_velocity(rng, p, size)
     return d_sign * v * t**p.alpha

@@ -2,7 +2,8 @@
 
 Provides log-gamma (Lanczos), ln B (Stirling differences for large
 arguments), the regularized incomplete beta function and its inverse
-(Halley steps from a seed interpolated in a forward table), Bessel J of
+(Halley steps from a seed interpolated in a forward table, each step
+confirmed where it can be by integrating the density across it), Bessel J of
 real nonnegative order, the surface measure of the unit sphere,
 and a globally adaptive integrator on the nested Gauss-Kronrod 7/15 rule
 (15 integrand evaluations per panel give both the value and the error
@@ -411,23 +412,131 @@ def _inv_beta_table_seed(p, a, b, ln_b):
     return np.fmin(np.fmax(x0, 1e-300), 1.0 - 1e-16)
 
 
+def _step_holds(x0, x1, r0, p, ln_x0, ln_1mx0, g_a, g_b, a, b, ln_b):
+    """Lanes where I at x1 is known to lie within _INV_BETA_TOL of p
+    without a continued fraction, from the direct residual r0 = I_x0 - p
+    and the increment dI, the two-point Gauss-Legendre rule for the
+    Beta(a, b) density f across the step.  Overwrites r0, ln_x0, ln_1mx0,
+    g_a and g_b (the logs and the two terms of f'/f at x0), so that the
+    lanes cost few arrays.
+
+    Only a short step counts: within 1e-3 of x0 relative to
+    min(x0, 1 - x0).  The margin 1e-14 + 32 eps (a |ln x0| +
+    b |ln(1 - x0)| + |ln B| + a + b) (min(I, 1 - I) + |dI|) covers the
+    rounding that a direct evaluation carries in its front factor and
+    continued fraction, and the increment in its densities, so a lane
+    held here also has a direct residual within the tolerance and ends on
+    the same x.  On top comes the rule's error bound h^5 max|f^(4)|/4320,
+    through kappa = h (|g_a| + |g_b|): across a short step,
+    h^k |(ln f)^(k)| <= (k - 1)! kappa 1e-3^(k - 1).
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # each name below takes over the buffer of one that is spent
+        kappa = np.abs(g_a, out=g_a)
+        kappa += np.abs(g_b, out=g_b)
+        margin = np.abs(ln_x0, out=ln_x0)
+        margin *= a
+        margin += b * np.abs(ln_1mx0, out=ln_1mx0)
+        margin += abs(ln_b) + a + b
+        dx = np.subtract(x1, x0, out=ln_1mx0)
+        short = np.abs(dx) <= 1e-3 * np.minimum(x0, 1.0 - x0)
+        # the densities, in the Halley step's form, at the nodes
+        # x0 + dx (1/2 -+ 1/(2 sqrt 3)), times dx/2
+        d_i = g_b
+        d_i[:] = 0.0
+        for node in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
+            u = dx * node
+            u += x0
+            ln_f = np.log(u)
+            ln_f *= a - 1.0
+            ln_f += (b - 1.0) * np.log1p(np.negative(u, out=u), out=u)
+            ln_f -= ln_b
+            d_i += np.exp(ln_f, out=ln_f)
+        d_i *= dx
+        d_i *= 0.5
+        kappa *= np.abs(dx, out=dx)
+        tail = np.add(r0, p, out=dx)
+        np.minimum(tail, 1.0 - tail, out=tail)
+        miss = r0
+        miss += d_i
+        np.abs(miss, out=miss)
+        np.abs(d_i, out=d_i)
+        tail += d_i
+        margin *= tail
+        margin *= 32.0 * _EPS
+        margin += 1e-14
+        # the rule's bound: those derivative bounds give h^4 |f^(4)| / f <=
+        # kappa^4 + 6e-3 kappa^3 + 1.1e-5 kappa^2 + 6e-9 kappa, f varies by
+        # at most e^kappa across the step and, for kappa <= 1, 1e-3 > e/4320
+        rule = np.add(kappa, 6e-3, out=tail)
+        for coef in (1.1e-5, 6e-9):
+            rule *= kappa
+            rule += coef
+        rule *= kappa
+        rule *= d_i
+        rule *= 1e-3
+        margin += rule
+        return short & (kappa <= 1.0) & (miss <= np.subtract(_INV_BETA_TOL, margin, out=margin))
+
+
+def _halley_step(xs, r, pc, xlo, xhi, a, b, ln_b):
+    """Move the lanes xs, whose direct residual is r = I_xs - pc, by one
+    bracketed Halley step, in place (r is spent), and return the lanes
+    whose residual the increment across the step already confirms
+    (_step_holds).  The step's arrays die on return, before the next
+    direct evaluation."""
+    high = r > 0.0
+    np.minimum(xhi, xs, out=xhi, where=high)
+    np.maximum(xlo, xs, out=xlo, where=~high)
+    r0 = r.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # Newton step r / f' with f' the Beta(a, b) density, in place in
+        # r; Halley divides it by 1 - step f''/(2 f'), with
+        # f''/f' = (a - 1)/x - (b - 1)/(1 - x) and step f''/f' clipped
+        # to [-1, 1]
+        ln_x, ln_1mx = np.log(xs), np.log1p(-xs)
+        r *= np.exp(ln_b - (a - 1.0) * ln_x - (b - 1.0) * ln_1mx)
+        g_a, g_b = (a - 1.0) / xs, (b - 1.0) / (1.0 - xs)
+        corr = g_a - g_b
+        corr *= r
+        np.clip(corr, -1.0, 1.0, out=corr)
+        r /= 1.0 - 0.5 * corr
+        xn = np.subtract(xs, r, out=r)
+    stuck = xn == xs
+    if stuck.any():
+        # a step below half an ulp moves one ulp toward the root, so
+        # the bracket can pinch where the residual cannot reach 1e-13
+        xn[stuck] = np.nextafter(xs[stuck], np.where(high[stuck], 0.0, 1.0))
+    off = ~np.isfinite(xn) | (xn <= xlo) | (xn >= xhi)
+    np.copyto(xn, 0.5 * (xlo + xhi), where=off)
+    held = _step_holds(xs, xn, r0, pc, ln_x, ln_1mx, g_a, g_b, a, b, ln_b)
+    xs[:] = xn
+    return held
+
+
 def _inv_reg_inc_beta_pair(p, a, b):
     out = np.where(p == 1.0, 1.0, 0.0)
     idx = np.flatnonzero((p > 0.0) & (p < 1.0))
     if idx.size == 0:
         return out
     ln_b = ln_beta(a, b)
-    # rows xs, pc, xlo, xhi of the lanes still open; one take() drops the
-    # converged columns from all four
-    work = np.zeros((4, idx.size))
-    xs, pc, xlo, xhi = work
+    # rows xs, pc, xlo, xhi, held of the lanes still open; one take() drops
+    # the converged columns from all five.  held is 1 where the increment
+    # across the last step already puts the residual within _INV_BETA_TOL
+    work = np.zeros((5, idx.size))
+    xs, pc, xlo, xhi, held = work
     pc[:] = p[idx]
     xs[:] = _inv_beta_table_seed(pc, a, b, ln_b)
     xhi[:] = 1.0
     for _ in range(_INV_BETA_MAX_NEWTON):
         # through the module global, so a wrapper installed on
-        # reg_inc_beta sees every step
-        r = reg_inc_beta(xs, a, b) - pc
+        # reg_inc_beta sees every direct evaluation
+        if held.any():
+            fresh = np.flatnonzero(held == 0.0)
+            r = np.zeros_like(xs)
+            r[fresh] = reg_inc_beta(xs[fresh], a, b) - pc[fresh]
+        else:
+            r = reg_inc_beta(xs, a, b) - pc
         pinched = (xhi - xlo) <= np.spacing(np.maximum(xhi, 1e-300))
         conv = (np.abs(r) <= _INV_BETA_TOL) | pinched
         if conv.any():
@@ -438,29 +547,8 @@ def _inv_reg_inc_beta_pair(p, a, b):
             live = np.flatnonzero(~conv)
             idx, r = idx[live], r[live]
             work = work.take(live, axis=1)
-            xs, pc, xlo, xhi = work
-        high = r > 0.0
-        np.minimum(xhi, xs, out=xhi, where=high)
-        np.maximum(xlo, xs, out=xlo, where=~high)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            # Newton step r / f' with f' the Beta(a, b) density, in place in
-            # r; Halley divides it by 1 - step f''/(2 f'), with
-            # f''/f' = (a - 1)/x - (b - 1)/(1 - x) and step f''/f' clipped
-            # to [-1, 1]
-            r *= np.exp(ln_b - (a - 1.0) * np.log(xs) - (b - 1.0) * np.log1p(-xs))
-            corr = (a - 1.0) / xs - (b - 1.0) / (1.0 - xs)
-            corr *= r
-            np.clip(corr, -1.0, 1.0, out=corr)
-            r /= 1.0 - 0.5 * corr
-            xn = np.subtract(xs, r, out=r)
-        stuck = xn == xs
-        if stuck.any():
-            # a step below half an ulp moves one ulp toward the root, so
-            # the bracket can pinch where the residual cannot reach 1e-13
-            xn[stuck] = np.nextafter(xs[stuck], np.where(high[stuck], 0.0, 1.0))
-        off = ~np.isfinite(xn) | (xn <= xlo) | (xn >= xhi)
-        np.copyto(xn, 0.5 * (xlo + xhi), where=off)
-        xs[:] = xn
+            xs, pc, xlo, xhi, held = work
+        held[:] = _halley_step(xs, r, pc, xlo, xhi, a, b, ln_b)
     # lanes that ran out of the step budget: accept if close, else fail
     r = np.abs(reg_inc_beta(xs, a, b) - pc)
     if np.any(r > 1e-9):
@@ -480,11 +568,17 @@ def inv_reg_inc_beta(p, a, b):
     Returns x in [0, 1] with I_x(a, b) = p, by bracketed Halley steps from
     a seed interpolated in a forward table: one reg_inc_beta call on 129
     nodes per call, uniform in logit x, gives each lane a cubic Hermite
-    start (slopes from the density), so most lanes converge on their
-    second evaluation.  A step that leaves the bracket bisects it; one
-    below half an ulp moves x by one ulp.  A lane stops when
-    |I_x - p| <= 1e-13 or when its bracket has collapsed to adjacent
-    floats (steep quantiles: the residual then sits at the
+    start (slopes from the density).  The seed is evaluated directly; a
+    short step after it is confirmed without a second continued fraction,
+    as I_x0 plus the two-point Gauss-Legendre integral of the density
+    across the step, which must lie within 1e-13 of p less a per-lane
+    slack for the direct evaluation's rounding and the rule's error, so
+    such a lane stops where a direct evaluation would have stopped it; any
+    other lane is evaluated directly.  Most lanes thus take one
+    continued-fraction evaluation besides the table.  A step that leaves
+    the bracket bisects it; one below half an ulp moves x by one ulp.  A
+    lane stops when |I_x - p| <= 1e-13 or when its bracket has collapsed
+    to adjacent floats (steep quantiles: the residual then sits at the
     derivative-times-ulp quantization floor).  Lanes still open after 100
     steps are accepted if |I_x - p| <= 1e-9; otherwise ValueError names
     the worst (p, a, b).  a and b are scalars; p broadcasts, with one

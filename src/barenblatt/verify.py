@@ -156,6 +156,10 @@ def _dyadic_h(h, levels):
 
 
 def _check_stencil(fam: FamilyParams, radii, t, h):
+    # the time stencil reaches back to t - h, so h < t first: the front
+    # radius at t - h would otherwise refuse a time the caller never passed
+    if h >= t:
+        raise ValueError(f"h must be < t = {t!r}, got {h!r}")
     if radii.max() + h >= support_radius(fam, t - h):
         raise ValueError(
             "stencil overflow: evaluation points plus the coarsest step "

@@ -100,16 +100,12 @@ TABLE = [
     ("run_suite", partial(verify_mod.run_suite, "fractional"),
      {"seed": 7, "threads": 1, "h_levels": 3}),
 ]
-# The family member is not a scalar.  The size of the samplers that draw
-# through numpy's Generator is numpy's to refuse (TypeError, unnamed).
-NUMPY_SIZE = ("sample_beta", "sample_velocity", "sample_position_1d", "sample_position",
-              "sample_projection_w")
-SKIP = {"p"} | {(label, "size") for label in NUMPY_SIZE}
+# The family member is not a scalar.
 CASES = [
     pytest.param(fn, base, name, id=f"{label}-{name}")
     for label, fn, base in TABLE
     for name in base
-    if not {name, (label, name)} & SKIP
+    if name != "p"
 ]
 
 
@@ -133,12 +129,16 @@ def test_bad_scalar_refused_by_name(fn, base, name):
         (lambda: verify_mod.run_suite("sampling", threads=1.5), "threads"),
         (lambda: verify_mod.run_suite("pde", h_levels=3.0), "h_levels"),
         (lambda: verify_mod._dyadic_h(0.02, 3.5), "levels"),
+        (lambda: samp_mod.sample_beta(samp_mod.RngStream(1), 1.0, 1.0, 2.5), "size"),
+        (lambda: samp_mod.sample_position_1d(samp_mod.RngStream(1), D1, 1.0, 2.5), "size"),
     ],
-    ids=["catalan", "run_suite-seed", "run_suite-threads", "run_suite-h_levels", "dyadic_h"],
+    ids=["catalan", "run_suite-seed", "run_suite-threads", "run_suite-h_levels", "dyadic_h",
+         "sample_beta-size", "sample_position_1d-size"],
 )
 def test_fractional_count_refused(call, name):
     # int() took 2.7 for 2 (catalan(2.5) was catalan(2), seed 2.7 drew
-    # with seed 2), and range() raised a TypeError that named nothing
+    # with seed 2), and range() and numpy's Generator (a sampler's size)
+    # raised a TypeError that named nothing
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         call()
 

@@ -80,6 +80,19 @@ class TestPmeResidual:
             pme_residual(2.0, 1, t=1.0, h=0.02, levels=2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: pme_residual(2.0, 1, 0.01, 0.02), lambda: epd_residual(3.0, 1.0, 1, 0.01, 0.02),
+     lambda: pme_residual(2.0, 1, 0.02, 0.02)],
+    ids=["pme", "epd", "pme-h-equals-t"],
+)
+def test_step_past_the_time_refused_by_name(call):
+    # the time stencil reaches t - h; the refusal names h, not the
+    # negative time the stencil would have reached
+    with pytest.raises(ValueError, match=r"^h must be < t = 0\.0[12], got 0\.02$"):
+        call()
+
+
 class TestEpdResidual:
     def test_second_order_convergence(self):
         rep = epd_residual(1.5, 1.0, 2, t=1.0, h=0.02)
