@@ -405,7 +405,7 @@ def _inv_beta_table_seed(p, a, b, ln_b):
         dz = np.diff(z)
         coef = np.array([u[:-1], h, z[:-1], s0, 3.0 * dz - 2.0 * s0 - s1, s0 + s1 - 2.0 * dz])
         inside = ~(below | above)
-        u0, h, z0, c1, c2, c3 = coef[:, j[inside] - 1]
+        u0, h, z0, c1, c2, c3 = coef.take(j[inside] - 1, axis=1)
         t = (_logit(p[inside]) - u0) / h
         x0[inside] = 1.0 / (1.0 + np.exp(-(z0 + t * (c1 + t * (c2 + t * c3)))))
     # fmax/fmin also move a NaN start inside
@@ -482,12 +482,13 @@ def _step_holds(x0, x1, r0, p, ln_x0, ln_1mx0, g_a, g_b, a, b, ln_b):
 def _halley_step(xs, r, pc, xlo, xhi, a, b, ln_b):
     """Move the lanes xs, whose direct residual is r = I_xs - pc, by one
     bracketed Halley step, in place (r is spent), and return the lanes
-    whose residual the increment across the step already confirms
-    (_step_holds).  The step's arrays die on return, before the next
-    direct evaluation."""
+    whose residual at the new x the increment across the step already
+    confirms (_step_holds).  The step's arrays die on return, before the
+    next direct evaluation."""
+    # np.where, not a masked ufunc: the same bits at less than half the cost
     high = r > 0.0
-    np.minimum(xhi, xs, out=xhi, where=high)
-    np.maximum(xlo, xs, out=xlo, where=~high)
+    np.minimum(xhi, np.where(high, xs, xhi), out=xhi)
+    np.maximum(xlo, np.where(high, xlo, xs), out=xlo)
     r0 = r.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # Newton step r / f' with f' the Beta(a, b) density, in place in
@@ -514,41 +515,48 @@ def _halley_step(xs, r, pc, xlo, xhi, a, b, ln_b):
     return held
 
 
+def _settle(out, idx, work, done):
+    """Write the x (row 0 of work) of the done lanes to out at idx; return
+    idx and work without them, and the positions of the lanes kept."""
+    k = np.flatnonzero(done)
+    out[idx[k]] = work[0, k]
+    live = np.flatnonzero(~done)
+    return idx[live], work.take(live, axis=1), live
+
+
 def _inv_reg_inc_beta_pair(p, a, b):
     out = np.where(p == 1.0, 1.0, 0.0)
     idx = np.flatnonzero((p > 0.0) & (p < 1.0))
     if idx.size == 0:
         return out
     ln_b = ln_beta(a, b)
-    # rows xs, pc, xlo, xhi, held of the lanes still open; one take() drops
-    # the converged columns from all five.  held is 1 where the increment
-    # across the last step already puts the residual within _INV_BETA_TOL
-    work = np.zeros((5, idx.size))
-    xs, pc, xlo, xhi, held = work
+    # rows xs, pc, xlo, xhi of the lanes still open; one take() drops the
+    # finished columns from all four
+    work = np.zeros((4, idx.size))
+    xs, pc, xlo, xhi = work
     pc[:] = p[idx]
     xs[:] = _inv_beta_table_seed(pc, a, b, ln_b)
     xhi[:] = 1.0
     for _ in range(_INV_BETA_MAX_NEWTON):
         # through the module global, so a wrapper installed on
         # reg_inc_beta sees every direct evaluation
-        if held.any():
-            fresh = np.flatnonzero(held == 0.0)
-            r = np.zeros_like(xs)
-            r[fresh] = reg_inc_beta(xs[fresh], a, b) - pc[fresh]
-        else:
-            r = reg_inc_beta(xs, a, b) - pc
+        r = reg_inc_beta(xs, a, b) - pc
         pinched = (xhi - xlo) <= np.spacing(np.maximum(xhi, 1e-300))
         conv = (np.abs(r) <= _INV_BETA_TOL) | pinched
         if conv.any():
-            k = np.flatnonzero(conv)
-            out[idx[k]] = xs[k]
-            if k.size == idx.size:
+            idx, work, live = _settle(out, idx, work, conv)
+            if idx.size == 0:
                 return out
-            live = np.flatnonzero(~conv)
-            idx, r = idx[live], r[live]
-            work = work.take(live, axis=1)
-            xs, pc, xlo, xhi, held = work
-        held[:] = _halley_step(xs, r, pc, xlo, xhi, a, b, ln_b)
+            r = r[live]
+            xs, pc, xlo, xhi = work
+        # a lane whose step the increment confirms ends where the next
+        # direct evaluation would have ended it
+        held = _halley_step(xs, r, pc, xlo, xhi, a, b, ln_b)
+        if held.any():
+            idx, work, _ = _settle(out, idx, work, held)
+            if idx.size == 0:
+                return out
+            xs, pc, xlo, xhi = work
     # lanes that ran out of the step budget: accept if close, else fail
     r = np.abs(reg_inc_beta(xs, a, b) - pc)
     if np.any(r > 1e-9):
