@@ -277,6 +277,17 @@ def wide_pair_lanes():
     return [(a, b, tail_lanes(rng, 2000)) for a, b in [(0.5, 1e6 + 1.0), (1e5, 1e5)]]
 
 
+def assert_root_or_sign_change(x, p, a, b):
+    """Every lane ends at a direct |I_x - p| <= 1e-13 or within one ulp of
+    the sign change."""
+    r = reg_inc_beta(x, a, b) - p
+    far = np.abs(r) > 1e-13
+    r_lo = reg_inc_beta(np.nextafter(x[far], 0.0), a, b) - p[far]
+    r_hi = reg_inc_beta(np.minimum(np.nextafter(x[far], 1.0), 1.0), a, b) - p[far]
+    assert np.all(np.minimum(r_lo, r[far]) <= 0.0), (a, b)
+    assert np.all(np.maximum(r_hi, r[far]) >= 0.0), (a, b)
+
+
 class TestInvRegIncBeta:
     def test_frozen_value(self):
         # mpmath root of I_x(2.5, 0.7) = 0.3
@@ -340,14 +351,7 @@ class TestInvRegIncBeta:
         # by 4e-9 at p = 1e-6 and by 3e-2 at p = 1e-16), so they only take
         # the check below
         assert np.max(np.abs(x - scipy.special.betaincinv(a, b, p))[:-2]) <= 1e-10
-        # every lane ends at |I_x - p| <= 1e-13 or within one ulp of the
-        # sign change
-        r = reg_inc_beta(x, a, b) - p
-        far = np.abs(r) > 1e-13
-        r_lo = reg_inc_beta(np.nextafter(x[far], 0.0), a, b) - p[far]
-        r_hi = reg_inc_beta(np.minimum(np.nextafter(x[far], 1.0), 1.0), a, b) - p[far]
-        assert np.all(np.minimum(r_lo, r[far]) <= 0.0)
-        assert np.all(np.maximum(r_hi, r[far]) >= 0.0)
+        assert_root_or_sign_change(x, p, a, b)
 
     def test_large_b_against_mpmath(self):
         # (1/2, 1e6 + 1): the reference roots take Newton steps at 50
@@ -397,13 +401,7 @@ class TestInvRegIncBeta:
         rng = np.random.default_rng(2110)
         for a, b in np.exp(rng.uniform(math.log(0.05), math.log(1e3), (40, 2))):
             p = tail_lanes(rng, 1000)
-            x = inv_reg_inc_beta(p, a, b)
-            r = reg_inc_beta(x, a, b) - p
-            far = np.abs(r) > 1e-13
-            r_lo = reg_inc_beta(np.nextafter(x[far], 0.0), a, b) - p[far]
-            r_hi = reg_inc_beta(np.minimum(np.nextafter(x[far], 1.0), 1.0), a, b) - p[far]
-            assert np.all(np.minimum(r_lo, r[far]) <= 0.0), (a, b)
-            assert np.all(np.maximum(r_hi, r[far]) >= 0.0), (a, b)
+            assert_root_or_sign_change(inv_reg_inc_beta(p, a, b), p, a, b)
 
     @pytest.mark.parametrize(
         "lanes, digest",
