@@ -22,6 +22,7 @@ import pytest
 
 import barenblatt
 from barenblatt import cli, specfun
+from barenblatt import family as fam_mod
 from barenblatt import transforms as trans_mod
 from barenblatt import verify as verify_mod
 from barenblatt.cli import main
@@ -353,6 +354,29 @@ class TestMsd:
         assert main(["msd", "--preset", "wigner", "--grid", "0:1:3"]) == 2
         assert capsys.readouterr().err == "barenblatt: error: t must be finite and > 0, got 0.0\n"
 
+    def test_ratio_column_where_t2alpha_underflows(self, capsys):
+        # t^(2 alpha) = t^4 underflows to 0 on this grid while the msd,
+        # c^2 t^4 B(3/2, 2) / B(1/2, 2) with c = 1e100, does not; the ratio
+        # is the t = 1 moment, not a quotient of the two
+        flags = ["--alpha", "2", "--beta", "2", "--gamma", "1", "--c", "1e100", "--d", "1"]
+        code, out = run_cli(capsys, "msd", *flags, "--grid", "1e-90:1e-80:3")
+        assert code == 0
+        fam = cli.new_family(2.0, 2.0, 1.0, 1e100, 1)
+        ratio = fam_mod.radial_moment(fam, 2, 1.0)
+        assert ratio == pytest.approx(0.2e200, rel=1e-15)
+        for t, msd, col in rows_of(out)[1:]:
+            assert float(col) == ratio
+            assert float(msd) == fam_mod.radial_moment(fam, 2, float(t)) > 0.0
+
+    def test_underflowing_msd_refused_by_name(self, capsys):
+        # at c = 1 the msd itself (0.2 t^4) underflows at t = 1e-200
+        flags = ["--alpha", "2", "--beta", "2", "--gamma", "1", "--c", "1", "--d", "1"]
+        code = main(["msd", *flags, "--grid", "1e-200:1e-100:2"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("barenblatt: error: a value at this input leaves the float range")
+        assert "msd underflows to 0 at t = 1e-200" in err
+
 
 class TestVerify:
     def test_passing_suite_exit_zero(self, capsys):
@@ -589,6 +613,34 @@ def test_pinned_output_bytes(tmp_path, argv, digest):
     target = tmp_path / "out"
     assert main([*argv, "--output", str(target)]) == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+def test_eval_cdf_column_pinned(tmp_path):
+    # the cdf column of eval-d1-cdf on its own: the scaled radius that
+    # cdf_1d shares with pdf leaves every byte of it, whatever pdf does
+    target = tmp_path / "out"
+    assert main(["eval", *D1_FLAGS, "--t", "1.3", "--grid", "-2:2:4001", "--output", str(target)]) == 0
+    cdf = "\n".join(line.split(",")[3] for line in target.read_text().splitlines())
+    digest = "d5ea5aa7e91c8008083e7cb48336c51b7ede2e01124dcc7171660a98af341402"
+    assert hashlib.sha256(cdf.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [D1_FLAGS, D3_FLAGS, ["--alpha", "0.5", "--beta", "2", "--gamma", "1e8", "--c", "1", "--d", "1"]],
+    ids=["d1", "d3", "gamma-1e8"],
+)
+def test_eval_past_the_front_writes_no_stderr(flags):
+    # the grid reaches 2x past the front, where the profile is an exact 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "barenblatt", "eval", *flags, "--grid", "-3:3:61"],
+        capture_output=True,
+        text=True,
+        env=package_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1].split(",")[2] == "0"
 
 
 def test_continued_fraction_failure_is_one_line_usage_error(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,38 @@ class TestPdf:
         assert vals.shape == xs.shape
         assert vals[0] == 0.0 and vals[-1] == 0.0
 
+    def test_profile_against_mpmath_over_gamma_and_beta(self):
+        # at t = 1 and c = 1 the scaled radius z is x itself, so the
+        # reference takes the same float z and the member's C: only the
+        # profile (1 - z^beta)^gamma is under test.  Points keep
+        # gamma z^beta <= 10, where the profile is well conditioned in z;
+        # a power of a rounded 1 - z^beta is off by about gamma eps there
+        rng = np.random.default_rng(5)
+        betas = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 40))
+        gammas = np.exp(rng.uniform(math.log(1e-3), math.log(1e8), 40))
+        worst = 0.0
+        for beta_exp, gamma_exp in zip(betas.tolist(), gammas.tolist()):
+            p = new_family(0.5, beta_exp, gamma_exp, 1.0, 1)
+            w_max = min(0.9, 10.0 / gamma_exp)
+            xs = np.linspace(0.0, 1.0, 17) * w_max ** (1.0 / beta_exp)
+            got = pdf(p, xs, 1.0)
+            with mpmath.workdps(40):
+                for x, g in zip(xs.tolist(), got.tolist()):
+                    want = mpmath.mpf(p.norm_c) * (1 - mpmath.mpf(x) ** beta_exp) ** gamma_exp
+                    worst = max(worst, float(abs(g / want - 1)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("raw", [*MEMBERS, (0.5, 2.0, 1e8, 1.0, 3)])
+    def test_no_warning_at_or_past_the_front(self, raw):
+        # the front and everything beyond it are exact zeros, silently
+        p = new_family(*raw)
+        radii = np.linspace(0.0, 1.3, 27) * support_radius(p, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = pdf(p, radii if p.d == 1 else radii[:, None] * np.eye(p.d)[0], 1.0)
+            rad = radial_pdf(p, radii, 1.0)
+        assert np.all(vals[20:] == 0.0) and np.all(rad[20:] == 0.0)
+
 
 class TestNormalization:
     @pytest.mark.parametrize("raw", MEMBERS)
@@ -190,6 +224,20 @@ class TestRadialPdf:
     def test_outside_front(self):
         p = new_family(0.3, 1.5, 0.7, 1.2, 2)
         assert radial_pdf(p, 2.0 * support_radius(p, 1.0), 1.0) == 0.0
+
+    def test_large_dimension_against_closed_form(self):
+        # member (0.5, 2, 1, 1, 400) at t = 1: the radius has density
+        # 2 r^399 (1 - r^2) / B(200, 2), while sigma(S^399) r^399 alone
+        # underflows (sigma is about 1e-273); values stay normal floats here
+        p = new_family(0.5, 2.0, 1.0, 1.0, 400)
+        rs = np.concatenate([[0.3, 0.5], np.linspace(0.2, 0.99, 40)])
+        got = radial_pdf(p, rs, 1.0)
+        with mpmath.workdps(40):
+            b = mpmath.beta(200, 2)
+            want = [2 * mpmath.mpf(r) ** 399 * (1 - mpmath.mpf(r) ** 2) / b for r in rs.tolist()]
+        assert np.all(got > 0.0)
+        assert max(float(abs(g / w - 1)) for g, w in zip(got.tolist(), want)) <= 1e-13
+        assert radial_pdf(p, 0.0, 1.0) == 0.0 and radial_pdf(p, 1.0, 1.0) == 0.0
 
     def test_matches_ball_probability(self):
         p = new_family(1.0, 3.0, 2.0, 0.8, 3)

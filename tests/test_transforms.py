@@ -472,6 +472,16 @@ class TestRadialPrefactorReport:
         corrected = u * (1.0 + res_corrected)
         assert abs(stated) <= 1e-5 and abs(corrected) <= 1e-5
 
+    @pytest.mark.parametrize("d", [200, 400, 433])
+    def test_largest_dimensions(self, d):
+        # 433 is the largest d that new_family accepts for this member; the
+        # sphere measure and (c t^alpha r)^{d/2-1} underflow apart from d = 400
+        stated, corrected = radial_prefactor_report(new_family(0.5, 2.0, 1.0, 1.0, d), 0.5, 1.0)
+        assert stated == pytest.approx(-0.5, abs=1e-12)
+        assert abs(corrected) <= 1e-12
+        with pytest.raises(ValueError, match="normalization C"):
+            new_family(0.5, 2.0, 1.0, 1.0, 434)
+
     def test_domain_errors(self):
         p = new_family(0.5, 2.0, 1.0, 1.0, 2)
         with pytest.raises(ValueError):

@@ -164,6 +164,13 @@ class TestQuadMasses:
         (mass,) = _quad_masses([fam], 1.0)
         assert abs(mass - self.scalar_mass(fam, 1.0)) <= 2e-11
 
+    @pytest.mark.parametrize("gamma_exp", [1e6, 1e7, 1e8])
+    def test_concentrated_member_has_unit_mass(self, gamma_exp):
+        # a profile that carried gamma eps of rounding noise exhausted the
+        # subdivisions from gamma = 1e7 on
+        (mass,) = _quad_masses([new_family(0.5, 2.0, gamma_exp, 1.0, 3)], 1.0)
+        assert abs(mass - 1.0) <= 1e-10
+
 
 def _check(report, name):
     return next(c for c in report.checks if c.name == name)
