@@ -226,10 +226,15 @@ def _cmd_ft(args, parser) -> int:
 def _cmd_msd(args, parser) -> int:
     fam = _resolve_family(args, parser)
     ts = _parse_grid(args.grid, parser)
+    # msd / t^(2 alpha) is the t = 1 moment at every t: no quotient of two
+    # powers of t that may have left the float range
+    ratio = fam_mod.radial_moment(fam, 2, 1.0)
     rows = []
     for t in ts.tolist():
         msd = fam_mod.radial_moment(fam, 2, t)
-        rows.append((t, msd, msd / t ** (2.0 * fam.alpha)))
+        if msd == 0.0:
+            raise FloatingPointError(f"msd underflows to 0 at t = {t!r}")
+        rows.append((t, msd, ratio))
     _emit(np.array(rows), ["t", "msd", "msd_over_t2alpha"], args)
     return 0
 

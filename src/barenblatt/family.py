@@ -7,6 +7,9 @@ A member is
 on R^d, with C chosen so that u(., t) integrates to one for every t > 0.
 The support is the closed ball of radius c t^alpha; u vanishes identically
 outside it (exact 0.0, not a denormal) and is maximal at the origin.
+u is evaluated in logs, in `_profile` alone, as C t^{-alpha d}
+exp(gamma log1p(-z^beta)) with z = |x| / (c t^alpha): no rounded
+1 - z^beta is raised to the power gamma.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import (
-    _check_dim, _real, inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta, sphere_surface,
-)
+from .specfun import _check_dim, _real, inv_reg_inc_beta, ln_beta, ln_sphere, reg_inc_beta
 
 __all__ = [
     "FamilyParams",
@@ -111,16 +112,24 @@ def _radius_of(p: FamilyParams, x):
     return np.sqrt(np.sum(arr * arr, axis=-1))
 
 
-def _profile(p: FamilyParams, r, t: float):
-    """Density as a function of radius; exact 0.0 from the front outward."""
+def _scaled_radius(p: FamilyParams, r, t: float):
+    """z = r / (c t^alpha) for radii r >= 0, pinned to 1 from the front
+    outward; pow of z <= 1 to beta > 0 cannot round above 1."""
+    return np.minimum(np.asarray(r, dtype=float) / (p.c * t**p.alpha), 1.0)
+
+
+def _profile(p: FamilyParams, r, t: float, amp=None):
+    """amp (1 - z^beta)^gamma at radii r >= 0, u(r, t) for the default amp
+    C t^{-alpha d}; exact 0.0 from the front outward.  The power of a
+    rounded 1 - z^beta would carry gamma times its rounding error."""
     # the amplitude first: where t^alpha underflows to 0 it overflows
     # (OverflowError) before the quotient below can turn 0/0
-    amp = p.norm_c * t ** (-p.alpha * p.d)
-    z = np.asarray(r, dtype=float) / (p.c * t**p.alpha)
-    # min(z, 1) pins every outside point to the boundary where the plateau
-    # factor is exactly zero; also shields pow from rounding above 1
-    body = np.maximum(1.0 - np.minimum(z, 1.0) ** p.beta_exp, 0.0)
-    return amp * body**p.gamma_exp
+    if amp is None:
+        amp = p.norm_c * t ** (-p.alpha * p.d)
+    z = _scaled_radius(p, r, t)
+    # log1p(-1) = -inf at z = 1, and exp(-inf) is the exact zero
+    with np.errstate(divide="ignore"):
+        return amp * np.exp(p.gamma_exp * np.log1p(-(z**p.beta_exp)))
 
 
 def pdf(p: FamilyParams, x, t):
@@ -131,12 +140,17 @@ def pdf(p: FamilyParams, x, t):
 
 
 def radial_pdf(p: FamilyParams, r, t):
-    """Density of the radius |X(t)|: sigma(S^{d-1}) r^{d-1} u(r, t)."""
+    """Density of the radius |X(t)|: sigma(S^{d-1}) r^{d-1} u(r, t), as
+    sigma C c^{d-1} t^{-alpha} z^{d-1} (1 - z^beta)^gamma with the amplitude
+    in logs: sigma underflows where C overflows (sigma(S^399) ~ 1e-273)."""
     t = _real("t", t, 0.0)
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0):
         raise ValueError("radius must be >= 0")
-    out = sphere_surface(p.d) * r_arr ** (p.d - 1) * _profile(p, r_arr, t)
+    amp = math.exp(
+        ln_sphere(p.d) + math.log(p.norm_c) + (p.d - 1) * math.log(p.c) - p.alpha * math.log(t)
+    )
+    out = _profile(p, r_arr, t, amp) * _scaled_radius(p, r_arr, t) ** (p.d - 1)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -146,8 +160,8 @@ def ball_probability(p: FamilyParams, a, t):
     a_arr = np.asarray(a, dtype=float)
     if np.any(a_arr < 0.0):
         raise ValueError("ball radius must be >= 0")
-    z = np.minimum(a_arr / (p.c * t**p.alpha), 1.0) ** p.beta_exp
-    out = reg_inc_beta(np.minimum(z, 1.0), p.d / p.beta_exp, p.gamma_exp + 1.0)
+    z = _scaled_radius(p, a_arr, t) ** p.beta_exp
+    out = reg_inc_beta(z, p.d / p.beta_exp, p.gamma_exp + 1.0)
     return float(out) if np.ndim(a) == 0 else np.asarray(out)
 
 
@@ -166,8 +180,8 @@ def cdf_1d(p: FamilyParams, x, t):
     _require_dim(p, "cdf_1d", one=True)
     t = _real("t", t, 0.0)
     x_arr = np.asarray(x, dtype=float)
-    z = np.minimum(np.abs(x_arr) / (p.c * t**p.alpha), 1.0) ** p.beta_exp
-    half_mass = reg_inc_beta(np.minimum(z, 1.0), 1.0 / p.beta_exp, p.gamma_exp + 1.0)
+    z = _scaled_radius(p, np.abs(x_arr), t) ** p.beta_exp
+    half_mass = reg_inc_beta(z, 1.0 / p.beta_exp, p.gamma_exp + 1.0)
     out = 0.5 * (1.0 + np.sign(x_arr) * half_mass)
     return float(out) if np.ndim(x) == 0 else out
 

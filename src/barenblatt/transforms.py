@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import FamilyParams, _require_dim, pdf, support_radius
-from .specfun import _real, bessel_j, beta_fn, integrate, ln_beta, ln_gamma, sphere_surface
+from .family import FamilyParams, _profile, _require_dim, pdf, support_radius
+from .specfun import _real, bessel_j, beta_fn, integrate, ln_beta, ln_gamma, ln_sphere
 
 __all__ = [
     "EKParams",
@@ -251,21 +251,16 @@ def velocity_representation_residual(p: FamilyParams, x, t):
     """u(x, t) minus the speed-variable form f_V(|x|/t^alpha) / (2 t^alpha).
 
     f_V(v) = (beta/c)(1-(v/c)^beta)^gamma / B(1/beta, gamma+1) on (0, c).
-    The two expressions are the same function written two ways, so the
-    residual is zero to rounding everywhere (both vanish outside the
-    front).  Elementwise in x.
+    Both forms share the family's profile (1 - z^beta)^gamma, z = |x| /
+    (c t^alpha), so what is checked is the constant: beta / (2 c t^alpha
+    B(1/beta, gamma+1)) against C t^{-alpha}.  The residual is zero to
+    rounding everywhere (both vanish outside the front).  Elementwise in x.
     """
     _require_dim(p, "velocity_representation_residual", one=True)
     t = _real("t", t, 0.0)
     x_arr = np.asarray(x, dtype=float)
-    v = np.abs(x_arr) / t**p.alpha
-    body = np.maximum(1.0 - np.minimum(v / p.c, 1.0) ** p.beta_exp, 0.0)
-    f_v = (
-        (p.beta_exp / p.c)
-        * body**p.gamma_exp
-        / beta_fn(1.0 / p.beta_exp, p.gamma_exp + 1.0)
-    )
-    out = pdf(p, x_arr, t) - f_v / (2.0 * t**p.alpha)
+    amp = (p.beta_exp / p.c) / beta_fn(1.0 / p.beta_exp, p.gamma_exp + 1.0) / (2.0 * t**p.alpha)
+    out = pdf(p, x_arr, t) - _profile(p, np.abs(x_arr), t, amp)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -278,26 +273,22 @@ def radial_prefactor_report(p: FamilyParams, r, t) -> tuple:
     (1-(z/c)^beta)^gamma / B((d/2+1)/beta, gamma+1) on (0, c).  The
     stated identity multiplies f_Z(r/t^alpha)/t^alpha by the prefactor
     B((d/2+1)/beta, gamma+1) / (sigma (c t^alpha r)^{d/2-1} B(d/beta,
-    gamma+1)); the corrected form divides by one more power of r.  Which
-    one closes is recorded, not assumed.
+    gamma+1)); the corrected form divides by one more power of r.  f_Z
+    shares the family's profile, so what each reading checks is its
+    constant, summed in logs (sigma and the power of c t^alpha r underflow
+    as floats at large d).  Which one closes is recorded, not assumed.
     """
     _require_dim(p, "radial_prefactor_report", one=False)
     t = _real("t", t, 0.0)
     r = _real("r", r, 0.0, support_radius(p, t))
-    mu_pow = 0.5 * p.d - 1.0
-    b_z = beta_fn((0.5 * p.d + 1.0) / p.beta_exp, p.gamma_exp + 1.0)
-    b_r = beta_fn(p.d / p.beta_exp, p.gamma_exp + 1.0)
-    prefactor = b_z / (sphere_surface(p.d) * (p.c * t**p.alpha * r) ** mu_pow * b_r)
-    z = r / t**p.alpha
-    body = max(1.0 - min(z / p.c, 1.0) ** p.beta_exp, 0.0)
-    f_z = (
-        (p.beta_exp / p.c)
-        * (z / p.c) ** (0.5 * p.d)
-        * body**p.gamma_exp
-        / b_z
-    )
-    stated = prefactor * f_z / t**p.alpha
-    corrected = stated / r
     u = float(pdf(p, np.concatenate([[r], np.zeros(p.d - 1)]), t))
+    ln_front, ln_r = math.log(support_radius(p, t)), math.log(r)
+    ln_b_z = ln_beta((0.5 * p.d + 1.0) / p.beta_exp, p.gamma_exp + 1.0)
+    ln_b_r = ln_beta(p.d / p.beta_exp, p.gamma_exp + 1.0)
+    ln_prefactor = ln_b_z - ln_sphere(p.d) - (0.5 * p.d - 1.0) * (ln_front + ln_r) - ln_b_r
+    # f_Z(r/t^alpha) less its profile, with (r/t^alpha)/c = r/(c t^alpha)
+    ln_f_z = math.log(p.beta_exp / p.c) + 0.5 * p.d * (ln_r - ln_front) - ln_b_z
+    stated = float(_profile(p, r, t, math.exp(ln_prefactor + ln_f_z - p.alpha * math.log(t))))
+    corrected = stated / r
     scale = max(u, 1e-300)
     return (stated - u) / scale, (corrected - u) / scale

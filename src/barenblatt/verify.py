@@ -118,12 +118,8 @@ def _order_estimate(residuals):
 
 
 def _u_on_radii(fam: FamilyParams, r, t):
-    r = np.asarray(r, dtype=float)
-    if fam.d == 1:
-        return pdf(fam, r, t)
-    pts = np.zeros((r.size, fam.d))
-    pts[:, 0] = r
-    return pdf(fam, pts, t)
+    """u at the points r along the first axis (r may be negative)."""
+    return fam_mod._profile(fam, np.abs(np.asarray(r, dtype=float)), t)
 
 
 def _parabolic_residual(u_of, phi, kappa, d, t, h, radii):
