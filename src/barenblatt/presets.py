@@ -57,10 +57,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PLEParams:
-    """Raw p-Laplacian evolution parameters and their derived scales."""
+    """The p-Laplacian evolution's derived scales k, q and fc."""
 
-    p: float
-    d: int
     k: float
     q: float
     frak_c: float
@@ -68,21 +66,15 @@ class PLEParams:
 
 @dataclass(frozen=True)
 class NPMEParams:
-    """Raw nonlocal porous-medium parameters.
+    """The nonlocal porous-medium problem's displayed constants.
 
-    `k_const` and `C_const` are the displayed constants; with the
-    term-matched front scale c = k^{-1/nu}, C_const coincides with the
-    unit-mass family normalizer (norm_const_residual is that relative
-    discrepancy, zero to rounding).
+    With the term-matched front scale c = k^{-1/nu}, C_const coincides
+    with the unit-mass family normalizer; the presets suite checks the two
+    to rounding.
     """
 
-    m: float
-    nu: float
-    d: int
-    alpha: float
     k_const: float
     C_const: float
-    norm_const_residual: float
 
 
 @dataclass(frozen=True)
@@ -128,7 +120,7 @@ def ple_preset(p: float, d: int):
     frak_c = math.exp(ln_fc)
     c = (frak_c / q) ** (1.0 / beta_exp)
     fam = new_family(k / d, beta_exp, gamma_exp, c, d)
-    return PLEParams(p=p, d=d, k=k, q=q, frak_c=frak_c), fam
+    return PLEParams(k=k, q=q, frak_c=frak_c), fam
 
 
 def npme_preset(m: float, nu: float, d: int):
@@ -139,7 +131,7 @@ def npme_preset(m: float, nu: float, d: int):
     ||x|| = k^{-1/nu} t^alpha, so the squared argument k^{2/nu}||x||^2 /
     t^{2 alpha} equals (||x||/(c t^alpha))^2 exactly).  The displayed
     amplitude is then the unit-mass normalizer, which is recomputed and
-    compared; the relative discrepancy rides along in NPMEParams.
+    compared by the presets suite.
     """
     m = _real("m", m, 1.0)
     nu = _real("nu", nu, 0.0)
@@ -167,19 +159,7 @@ def npme_preset(m: float, nu: float, d: int):
         - 0.5 * d * math.log(math.pi)
         - ln_gamma(gamma_exp + 1.0)
     )
-    c_const = math.exp(ln_c_const)
-    return (
-        NPMEParams(
-            m=m,
-            nu=nu,
-            d=d,
-            alpha=alpha,
-            k_const=k_const,
-            C_const=c_const,
-            norm_const_residual=(c_const - fam.norm_c) / fam.norm_c,
-        ),
-        fam,
-    )
+    return NPMEParams(k_const=k_const, C_const=math.exp(ln_c_const)), fam
 
 
 def epd_preset(nu: float, c: float, d: int) -> FamilyParams:

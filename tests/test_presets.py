@@ -100,7 +100,7 @@ class TestPlePreset:
 class TestNpmePreset:
     def test_m2_nu2_d1_frozen(self):
         raw, fam = npme_preset(2.0, 2.0, 1)
-        assert raw.alpha == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert fam.alpha == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert raw.k_const == pytest.approx(1.0 / 6.0, rel=1e-14)
         assert fam.gamma_exp == 1.0
         assert fam.beta_exp == 2.0
@@ -109,7 +109,7 @@ class TestNpmePreset:
 
     def test_m3_nu15_d2_frozen(self):
         raw, fam = npme_preset(3.0, 1.5, 2)
-        assert raw.alpha == pytest.approx(2.0 / 11.0, rel=1e-15)
+        assert fam.alpha == pytest.approx(2.0 / 11.0, rel=1e-15)
         assert raw.k_const == pytest.approx(NPME_M3_NU15_D2["k"], rel=1e-13)
         assert raw.C_const == pytest.approx(NPME_M3_NU15_D2["C"], rel=1e-13)
         assert fam.c == pytest.approx(NPME_M3_NU15_D2["c"], rel=1e-13)
@@ -121,7 +121,7 @@ class TestNpmePreset:
             for nu in (0.5, 1.0, 1.5, 2.0):
                 for d in (1, 2, 3):
                     raw, fam = npme_preset(m, nu, d)
-                    assert abs(raw.norm_const_residual) <= 1e-12
+                    assert abs(raw.C_const - fam.norm_c) / fam.norm_c <= 1e-12
 
     def test_unit_mass(self):
         for m, nu, d in [(2.0, 2.0, 1), (3.0, 1.5, 2), (1.5, 0.7, 3)]:
@@ -135,7 +135,7 @@ class TestNpmePreset:
         from barenblatt.family import new_family
 
         raw, fam = npme_preset(2.0, 2.0, 1)
-        c_alt = raw.k_const ** (-2.0 / raw.nu)
+        c_alt = raw.k_const ** (-2.0 / 2.0)
         alt = new_family(fam.alpha, 2.0, fam.gamma_exp, c_alt, 1)
         mass_alt = raw.C_const / alt.norm_c
         assert mass_alt == pytest.approx(raw.k_const ** (-1.0 / 2.0), rel=1e-10)
@@ -145,8 +145,8 @@ class TestNpmePreset:
         # at nu = 2 the displayed k collapses to alpha/2
         for m in (1.5, 2.0, 3.0):
             for d in (1, 2, 3):
-                raw, _ = npme_preset(m, 2.0, d)
-                assert raw.k_const == pytest.approx(raw.alpha / 2.0, abs=1e-15)
+                raw, fam = npme_preset(m, 2.0, d)
+                assert raw.k_const == pytest.approx(fam.alpha / 2.0, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
