@@ -253,14 +253,15 @@ def velocity_representation_residual(p: FamilyParams, x, t):
     f_V(v) = (beta/c)(1-(v/c)^beta)^gamma / B(1/beta, gamma+1) on (0, c).
     Both forms share the family's profile (1 - z^beta)^gamma, z = |x| /
     (c t^alpha), so what is checked is the constant: beta / (2 c t^alpha
-    B(1/beta, gamma+1)) against C t^{-alpha}.  The residual is zero to
-    rounding everywhere (both vanish outside the front).  Elementwise in x.
+    B(1/beta, gamma+1)), summed in logs, against C t^{-alpha}.  The residual
+    is zero to rounding everywhere (both vanish outside the front).
+    Elementwise in x.
     """
     _require_dim(p, "velocity_representation_residual", one=True)
     t = _real("t", t, 0.0)
     x_arr = np.asarray(x, dtype=float)
-    amp = (p.beta_exp / p.c) / beta_fn(1.0 / p.beta_exp, p.gamma_exp + 1.0) / (2.0 * t**p.alpha)
-    out = pdf(p, x_arr, t) - _profile(p, np.abs(x_arr), t, amp)
+    ln_amp = math.log(p.beta_exp / (2.0 * p.c)) - ln_beta(1.0 / p.beta_exp, p.gamma_exp + 1.0)
+    out = pdf(p, x_arr, t) - _profile(p, np.abs(x_arr), t, math.exp(ln_amp - p.alpha * math.log(t)))
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -421,6 +421,12 @@ class TestVelocityRepresentation:
         res = velocity_representation_residual(p, x, t)
         assert abs(res) <= 1e-12 * max(pdf(p, x, t), 1e-3)
 
+    def test_constant_below_the_float_range(self):
+        # B(80, 1e8 + 1) is about 1e-523 for this accepted member, so the
+        # constant is only a float when summed in logs
+        p = new_family(0.5, 0.0125, 1e8, 1e250, 1)
+        assert abs(velocity_representation_residual(p, 0.0, 1.0)) <= 1e-12 * p.norm_c
+
     def test_requires_1d(self):
         with pytest.raises(ValueError):
             velocity_representation_residual(
