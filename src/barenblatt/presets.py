@@ -1,6 +1,6 @@
 """Parameter mappings from named PDE special cases into the family.
 
-`ple_preset` and `npme_preset` return their raw-parameter record
+`ple_preset` and `npme_preset` return a record of their derived constants
 alongside the mapped FamilyParams; the other members are the
 FamilyParams alone.  Amplitude constants are solved in log-gamma space.
 
