@@ -7,6 +7,7 @@ A member is
 on R^d, with C chosen so that u(., t) integrates to one for every t > 0.
 The support is the closed ball of radius c t^alpha; u vanishes identically
 outside it (exact 0.0, not a denormal) and is maximal at the origin.
+
 u is evaluated in logs, in `_profile` alone, as C t^{-alpha d}
 exp(gamma log1p(-z^beta)) with z = |x| / (c t^alpha): no rounded
 1 - z^beta is raised to the power gamma.
