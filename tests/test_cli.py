@@ -308,6 +308,26 @@ class TestFt:
         va, vb = float(rows_of(a)[1][2]), float(rows_of(b)[1][2])
         assert va == pytest.approx(vb, abs=1e-8)
 
+    @pytest.mark.parametrize("d", [200, 433])
+    def test_dimensions_in_the_hundreds(self, capsys, d):
+        # 433 is the largest d new_family accepts for this member; the values
+        # are those of the beta = 2 marginal, the d = 1 member with gamma + (d-1)/2
+        code, out = run_cli(capsys, "ft", "--alpha", "0.5", "--beta", "2", "--gamma", "1",
+                            "--c", "1", "--d", str(d), "--grid=0:40:5")
+        assert code == 0
+        cf = np.array([float(row[2]) for row in rows_of(out)[1:]])
+        assert np.all(np.abs(cf) <= 1.0)
+        marginal = fam_mod.new_family(0.5, 2.0, 1.0 + 0.5 * (d - 1), 1.0, 1)
+        want = trans_mod.char_fn_1d(marginal, np.linspace(0.0, 40.0, 5), 1.0)
+        assert np.max(np.abs(cf - want)) <= 1e-11
+
+    def test_dimension_above_bound_refused(self, capsys):
+        argv = ["ft", "--alpha", "0.5", "--beta", "2", "--gamma", "1", "--c", "12",
+                "--d", "3004", "--grid=0:40:5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "barenblatt: error: d must be <= 3002 for char_fn_radial, got 3004\n"
+
     def test_projection_needs_dimension(self, capsys):
         assert main(["ft", "--preset", "wigner", "--grid", "1:2:2", "--kind", "projection"]) == 2
         err = capsys.readouterr().err

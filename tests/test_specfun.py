@@ -488,6 +488,27 @@ class TestBesselJ:
             ref = scipy.special.jv(mu, xs)
             assert np.max(np.abs(ours - ref)) <= 1e-10
 
+    @pytest.mark.parametrize("mu", [8.0, 8.5, 10.0, 20.0, 40.0])
+    def test_high_orders_against_scipy(self, mu):
+        # the orders of the radial route from d = 18 on; below x = mu/2, short
+        # of the first zero, J is positive and held to a relative bound too
+        xs = np.linspace(0.01, 200.0, 4000)
+        ours, ref = bessel_j(mu, xs), scipy.special.jv(mu, xs)
+        assert np.max(np.abs(ours - ref)) <= 1e-12
+        low = xs <= 0.5 * mu
+        assert np.max(np.abs(ours[low] / ref[low] - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("mu", [215.5, 1500.0])
+    def test_largest_orders_against_scipy(self, mu):
+        # 215.5 is the order of d = 433, the largest d new_family accepts at
+        # c = 1; 1500 is the largest order accepted
+        xs = np.linspace(0.0, 3000.0, 6001)
+        assert np.max(np.abs(bessel_j(mu, xs) - scipy.special.jv(mu, xs))) <= 1e-12
+
+    def test_order_above_bound_refused(self):
+        with pytest.raises(ValueError, match=r"^mu must lie in \[0, 1500\], got 1500.5$"):
+            bessel_j(1500.5, 1.0)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             bessel_j(-1.0, 2.0)

@@ -190,6 +190,20 @@ class TestCharFnRadial:
                 char_fn_radial(p, xi * t**p.alpha, 1.0), abs=1e-10
             )
 
+    def test_calls_bessel_j(self, monkeypatch):
+        # the route reaches bessel_j through this module's name, where a
+        # tracer that rebinds it can count the points
+        calls = []
+        inner = transforms.bessel_j
+
+        def counted(mu, x):
+            calls.append(np.size(x))
+            return inner(mu, x)
+
+        monkeypatch.setattr(transforms, "bessel_j", counted)
+        char_fn_radial(new_family(0.5, 2.0, 1.0, 1.0, 18), np.linspace(0.0, 20.0, 40), 1.0)
+        assert calls and sum(calls) > 0
+
     def test_domain_errors(self):
         p = new_family(0.5, 2.0, 1.0, 1.0, 2)
         with pytest.raises(ValueError):
@@ -581,6 +595,27 @@ class TestWholeAcceptedRange:
         for fn, xi in routes:
             want = [float(mpmath.hyp0f1(nu + 1.0, -0.25 * x * x)) for x in xi]
             assert np.max(np.abs(fn(p, np.array(xi), 1.0) - want)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "d, c",
+        [(2, 1.0), (3, 1.0), (5, 1.0), (8, 1.0), (13, 1.0), (18, 1.0), (25, 1.0), (40, 1.0),
+         (200, 1.0), (433, 1.0), (1000, 5.0), (2807, 10.0), (3002, 11.0)],
+    )
+    def test_radial_beta_two_marginal_identity(self, d, c):
+        # beta = 2: the first coordinate of the d-dimensional member is the
+        # d = 1 member with gamma + (d - 1)/2 (Fang, Kotz & Ng 1990, 3.4), whose
+        # transform needs no Bessel function.  433 and 2807 are the largest d
+        # new_family accepts at c = 1 and 10; 3002 is the radial route's bound
+        xi = np.linspace(0.5, 40.0, 80)
+        got = char_fn_radial(new_family(0.5, 2.0, 1.0, c, d), xi, 1.0)
+        want = char_fn_1d(new_family(0.5, 2.0, 1.0 + 0.5 * (d - 1), c, 1), xi, 1.0)
+        assert np.max(np.abs(got)) <= 1.0
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_radial_dimension_above_bound_refused(self):
+        p = new_family(0.5, 2.0, 1.0, 12.0, 3004)
+        with pytest.raises(ValueError, match=r"^d must be <= 3002 for char_fn_radial, got 3004$"):
+            char_fn_radial(p, 1.0, 1.0)
 
     @pytest.mark.parametrize(
         "zeta, mu, eta, x, k",
