@@ -18,7 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import FamilyParams, _profile, _require_dim, pdf, support_radius
-from .specfun import _real, bessel_j, beta_fn, integrate, ln_beta, ln_gamma, ln_sphere
+from .specfun import (
+    _BESSEL_HANKEL_CUT,
+    _BESSEL_MAX_ORDER,
+    _bessel_quotient,
+    _real,
+    bessel_j,
+    beta_fn,
+    integrate,
+    ln_beta,
+    ln_gamma,
+    ln_sphere,
+)
 
 __all__ = [
     "EKParams",
@@ -106,43 +117,42 @@ def char_fn_1d(p: FamilyParams, xi, t):
     return _char_fn(p, xi, t, np.cos)
 
 
-def _g_bessel_ratio(mu: float, w):
-    """Entire function J_mu(w) / (w/2)^mu, stable through w = 0.
+def _bessel_kernel(mu: float, w):
+    """h_mu(w) = Gamma(mu+1) (2/w)^mu J_mu(w), mu = d/2 - 1: the direction
+    kernel E[cos(w Theta_1)] of R^d, within [-1, 1] and 1 at w = 0.
 
-    Power series for |w| < 0.2, Bessel quotient elsewhere; value at 0 is
-    1/Gamma(mu+1).
+    Below the Hankel cut max(16, mu), where `bessel_j` itself forms J_mu
+    from it, h_mu comes straight from `_bessel_quotient`: J_mu(w) and
+    (w/2)^mu leave the float range there at large mu.  Above, it is
+    `bessel_j` times Gamma(mu+1) (2/w)^mu, summed in logs and below 2 for
+    w >= mu.  Neither (w/2)^mu nor Gamma(mu+1) is formed alone.
     """
     w = np.asarray(w, dtype=float)
     out = np.empty_like(w)
-    small = np.abs(w) < 0.2
-    if np.any(small):
-        x = 0.25 * w[small] ** 2
-        term = np.full(x.shape, math.exp(-ln_gamma(mu + 1.0)))
-        total = term.copy()
-        for k in range(1, 12):
-            term = term * (-x / (k * (k + mu)))
-            total += term
-        out[small] = total
-    big = ~small
-    if np.any(big):
-        wb = w[big]
-        out[big] = bessel_j(mu, wb) / (0.5 * wb) ** mu
+    low = w < max(_BESSEL_HANKEL_CUT, mu)
+    out[low] = _bessel_quotient(mu, w[low])
+    high = w[~low]
+    if high.size:
+        out[~low] = bessel_j(mu, high) * np.exp(ln_gamma(mu + 1.0) - mu * np.log(0.5 * high))
     return out
 
 
 def char_fn_radial(p: FamilyParams, xi_norm, t):
     """Characteristic function of the d >= 2 member at frequency radius |xi|.
 
-    `_char_fn` with kernel Gamma(d/2) J_mu(w)/(w/2)^mu (mu = d/2 - 1): the
-    direction average of cos as an entire quotient, with the
-    Gamma(d/2) = 1/g_mu(0) factor, so there is no 0/0 at xi = 0, where the
-    value is 1.  xi_norm may be an array (one vector quadrature): scalar
-    in, float out.
+    `_char_fn` with the kernel Gamma(d/2) (2/w)^mu J_mu(w), mu = d/2 - 1
+    (`_bessel_kernel`): the direction average of cos, an entire function,
+    so there is no 0/0 at xi = 0, where the value is 1.  d above 3002
+    (order 1500, the largest `bessel_j` validates) is refused.  xi_norm may
+    be an array (one vector quadrature): scalar in, float out.
     """
     _require_dim(p, "char_fn_radial", one=False)
     mu = 0.5 * p.d - 1.0
-    scale = math.exp(ln_gamma(0.5 * p.d))
-    return _char_fn(p, xi_norm, t, lambda w: scale * _g_bessel_ratio(mu, w))
+    if mu > _BESSEL_MAX_ORDER:
+        raise ValueError(
+            f"d must be <= {2.0 * (_BESSEL_MAX_ORDER + 1.0):g} for char_fn_radial, got {p.d}"
+        )
+    return _char_fn(p, xi_norm, t, lambda w: _bessel_kernel(mu, w))
 
 
 _GL64_T, _GL64_W = np.polynomial.legendre.leggauss(64)

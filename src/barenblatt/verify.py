@@ -480,22 +480,15 @@ def _suite_transforms(report: SuiteReport):
                 worst = max(worst, abs(got - want) / want)
     report.add("ek-constant-law", worst <= 1e-10, worst, 1e-10)
 
+    # beta = 2: the first coordinate of the d-dimensional member is the d = 1
+    # member with gamma + (d - 1)/2, so its transform needs no Bessel function
     worst = 0.0
-    for member in _GRID_MEMBERS[:3]:
-        fam = new_family(*member)
-        ek = trans_mod.EKParams(
-            1.0 / fam.beta_exp - 1.0, fam.gamma_exp + 1.0, fam.beta_exp
-        )
-        scale = math.exp(
-            math.lgamma(1.0 / fam.beta_exp + fam.gamma_exp + 1.0)
-            - math.lgamma(1.0 / fam.beta_exp)
-        )
-        for xi, t in [(0.7, 0.6), (2.5, 1.4)]:
-            raw = trans_mod.ek_integral(
-                ek, lambda u: np.cos(xi * np.asarray(u) * t**fam.alpha), fam.c
-            )
-            worst = max(worst, abs(scale * raw - trans_mod.char_fn_1d(fam, xi, t)))
-    report.add("ek-cosine-vs-charfn", worst <= 1e-8, worst, 1e-8)
+    xi = np.array([0.5, 2.0, 6.0, 14.0, 30.0])
+    for d in (18, 41, 200):
+        radial = trans_mod.char_fn_radial(new_family(0.5, 2.0, 1.0, 1.0, d), xi, 1.0)
+        marginal = new_family(0.5, 2.0, 1.0 + 0.5 * (d - 1), 1.0, 1)
+        worst = max(worst, float(np.max(np.abs(radial - trans_mod.char_fn_1d(marginal, xi, 1.0)))))
+    report.add("charfn-radial-marginal", worst <= 1e-11, worst, 1e-11)
 
     xi_param, cc, k, x0, t0 = 1.5, 1.0, 1.3, 0.4, 0.9
     f = lambda y: np.cos(k * np.asarray(y, dtype=float))

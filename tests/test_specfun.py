@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from barenblatt import specfun
 from barenblatt.specfun import (
     QuadratureError,
-    _bessel_asymptotic,
+    _bessel_miller,
     _bessel_series,
+    _bessel_upward,
     _eval_panels,
     _ln_gamma_signed,
     bessel_j,
@@ -473,13 +474,18 @@ class TestBesselJ:
             ref = math.sqrt(2.0 / (math.pi * x)) * math.sin(x)
             assert bessel_j(0.5, x) == pytest.approx(ref, abs=1e-12)
 
-    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 1.5, 2.0, 8.0, 19.5])
     def test_route_overlap(self, mu):
-        # series and asymptotic expansions must agree across the switchover
-        xs = np.linspace(12.0, 16.0, 33)
-        a = _bessel_series(mu, xs)
-        b = _bessel_asymptotic(mu, xs)
-        assert np.max(np.abs(a - b)) <= 1e-10
+        # the routes agree where one hands over to the next: the series and
+        # Miller's recurrence for h_mu across max(8, 4 sqrt(mu+1)), Miller's
+        # recurrence and the Hankel start carried up for J_mu across max(16, mu)
+        reach = max(8.0, 4.0 * math.sqrt(mu + 1.0))
+        xs = np.linspace(reach - 2.0, reach + 2.0, 33)
+        assert np.max(np.abs(_bessel_series(mu, xs) - _bessel_miller(mu, xs))) <= 1e-12
+        cut = max(16.0, mu)
+        xs = np.linspace(cut, cut + 4.0, 33)
+        scale = np.exp(mu * np.log(0.5 * xs) - math.lgamma(mu + 1.0))
+        assert np.max(np.abs(_bessel_miller(mu, xs) * scale - _bessel_upward(mu, xs))) <= 1e-12
 
     def test_against_scipy(self):
         xs = np.linspace(0.01, 60.0, 97)
