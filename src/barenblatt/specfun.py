@@ -605,6 +605,7 @@ def inv_reg_inc_beta(p, a, b):
 # h_mu for x <= max(8, 4 sqrt(mu+1)), Miller's backward recurrence for h_mu
 # up to max(16, mu), and from there the Hankel expansion at orders below 2
 # carried up by the forward recurrence.
+
 # from x = 16 on, the terms of the Hankel expansion of an order below 2
 # shrink through k = 32, the last one kept, and the first one dropped is
 # below 2e-15 of the leading one

@@ -149,8 +149,8 @@ class TestCharFn1d:
             char_fn_1d(wigner(), 1.0, 0.0)
 
 
-class TestBesselKernel:
-    def test_half_integer_closed_form_across_route_seams(self):
+class TestBesselRatio:
+    def test_half_integer_closed_form_across_series_seam(self):
         # h_{1/2}(w) = sin(w) / w; the series (w <= 8), Miller's recurrence
         # (8 < w < 16) and the Hankel route (w >= 16) must all match it
         for w in (1e-3, 0.05, 0.19, 0.21, 1.0, 5.0, 7.9, 8.1, 15.9, 16.1, 30.0):
