@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from barenblatt import transforms
 from barenblatt.family import new_family, pdf, support_radius
-from barenblatt.specfun import bessel_j, ln_gamma
+from barenblatt.specfun import bessel_j
 from scipy import special
 from barenblatt.transforms import (
     EKParams,
